@@ -13,7 +13,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "serve/server.hpp"
+#include "serve/net.hpp"
 #include "serve/sidecar.hpp"
 #include "train/signal.hpp"
 #include "util/error.hpp"
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   cfg.port = env_int("EVA_CACHE_PORT", 7190);
   cfg.max_entries = static_cast<std::size_t>(
       std::max(1, env_int("EVA_CACHE_ENTRIES", 4096)));
-  cfg.idle_ms = serve::idle_ms_from_env(0.0);
+  cfg.idle_ms = serve::net::idle_ms_from_env(0.0);
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--port") cfg.port = std::atoi(argv[i + 1]);

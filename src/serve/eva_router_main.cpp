@@ -24,8 +24,8 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "serve/net.hpp"
 #include "serve/router.hpp"
-#include "serve/server.hpp"
 #include "train/signal.hpp"
 #include "util/error.hpp"
 
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   cfg.hedge_delay_ms = env_double("EVA_ROUTER_HEDGE_MS", -1.0);
   cfg.max_inflight = static_cast<std::size_t>(
       std::max(1, env_int("EVA_ROUTER_MAX_INFLIGHT", 256)));
-  cfg.idle_ms = serve::idle_ms_from_env(0.0);
+  cfg.idle_ms = serve::net::idle_ms_from_env(0.0);
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--port") cfg.port = std::atoi(argv[i + 1]);

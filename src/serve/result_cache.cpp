@@ -18,11 +18,9 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
     : capacity_(capacity) {
   const std::size_t n = clamp_shards(shards == 0 ? 1 : shards);
   shard_mask_ = n - 1;
-  per_shard_ = (capacity + n - 1) / n;
-  if (per_shard_ == 0) per_shard_ = 1;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>((capacity + n - 1) / n));
   }
 }
 
@@ -31,42 +29,24 @@ std::optional<CachedEval> ResultCache::get(std::uint64_t key) {
   static obs::Counter& misses = obs::counter("serve.cache_misses");
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lk(s.mu);
-  const auto it = s.index.find(key);
-  if (it == s.index.end()) {
+  const CachedEval* hit = s.lru.get(key);
+  if (hit == nullptr) {
     misses.add();
     return std::nullopt;
   }
-  s.lru.splice(s.lru.begin(), s.lru, it->second);
   hits.add();
-  return it->second->second;
+  return *hit;
 }
 
 void ResultCache::put(std::uint64_t key, const CachedEval& value) {
   static obs::Counter& evictions = obs::counter("serve.cache_evictions");
   static obs::Gauge& size_g = obs::gauge("serve.cache_size");
-  std::size_t resident = 0;
   {
     Shard& s = shard_for(key);
     std::lock_guard<std::mutex> lk(s.mu);
-    const auto it = s.index.find(key);
-    if (it != s.index.end()) {
-      it->second->second = value;
-      s.lru.splice(s.lru.begin(), s.lru, it->second);
-      return;
-    }
-    if (s.lru.size() >= per_shard_) {
-      s.index.erase(s.lru.back().first);
-      s.lru.pop_back();
-      evictions.add();
-    }
-    s.lru.emplace_front(key, value);
-    s.index.emplace(key, s.lru.begin());
+    if (s.lru.put(key, value)) evictions.add();
   }
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    resident += sh->lru.size();
-  }
-  size_g.set(static_cast<double>(resident));
+  size_g.set(static_cast<double>(size()));
 }
 
 std::size_t ResultCache::size() const {
@@ -82,7 +62,6 @@ void ResultCache::clear() {
   for (const auto& sh : shards_) {
     std::lock_guard<std::mutex> lk(sh->mu);
     sh->lru.clear();
-    sh->index.clear();
   }
   obs::gauge("serve.cache_size").set(0.0);
 }

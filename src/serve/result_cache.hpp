@@ -15,12 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
+
+#include "util/lru.hpp"
 
 namespace eva::serve {
 
@@ -73,13 +73,9 @@ class ResultCache {
 
  private:
   struct Shard {
+    explicit Shard(std::size_t capacity) : lru(capacity) {}
     mutable std::mutex mu;
-    // Front = most recently used.
-    std::list<std::pair<std::uint64_t, CachedEval>> lru;
-    std::unordered_map<
-        std::uint64_t,
-        std::list<std::pair<std::uint64_t, CachedEval>>::iterator>
-        index;
+    Lru<std::uint64_t, CachedEval> lru;
   };
 
   [[nodiscard]] Shard& shard_for(std::uint64_t key) {
@@ -88,7 +84,6 @@ class ResultCache {
   }
 
   std::size_t capacity_;
-  std::size_t per_shard_;
   std::uint64_t shard_mask_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

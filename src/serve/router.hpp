@@ -143,7 +143,7 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Bind + listen + start the acceptor and health-prober threads.
+  /// Bind + listen + start accepting and the health-prober thread.
   /// Returns the bound port. Throws eva::ConfigError on a bad config or
   /// unbindable socket.
   int listen_and_start();
@@ -185,9 +185,9 @@ class Router {
   struct ForwardOutcome;
   struct CancelToken;
 
-  void accept_loop();
   void health_loop();
-  void handle_connection(int fd);
+  /// One request line of client connection `fd`; false closes it.
+  [[nodiscard]] bool handle_line(int fd, const std::string& line);
   /// Serve one parsed generation request end-to-end; returns the full
   /// multi-line payload to write to the client.
   [[nodiscard]] std::string dispatch(const ParsedLine& parsed,
@@ -209,17 +209,11 @@ class Router {
   RouterConfig cfg_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::unique_ptr<HashRing> ring_;
-  int listen_fd_ = -1;
   int bound_port_ = 0;
-  std::atomic<bool> stopping_{false};
+  std::atomic<bool> stopping_{false};      // cuts backoff sleeps and probing
   std::atomic<std::uint64_t> spread_{0};   // ring spread for unseeded requests
   std::atomic<long> inflight_{0};          // client requests being served
-  std::thread acceptor_;
   std::thread prober_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> handlers_;
-  std::vector<int> open_fds_;
-  std::once_flag stop_once_;
 
   // Sidecar client: one persistent connection, mutex-serialized (the
   // round trips are tiny loopback exchanges). Failures drop the
@@ -227,6 +221,8 @@ class Router {
   std::mutex cache_mu_;
   int cache_fd_ = -1;
   std::unique_ptr<net::LineReader> cache_reader_;
+
+  net::LineServer lines_;
 };
 
 /// Parse "host:port[,host:port...]" (EVA_ROUTER_BACKENDS). Entries

@@ -1,22 +1,21 @@
 // Minimal TCP JSON-lines front end for GenerationService (DESIGN.md
 // §10).
 //
-// One acceptor thread polls the listening socket (100 ms granularity so
-// a SIGTERM via train/signal is observed promptly); each accepted
-// connection gets its own handler thread that reads request lines,
-// submits them to the service, and streams the response items followed
-// by a terminator line (see serve/protocol.hpp). Connections are served
-// request-at-a-time — the concurrency story lives in the service queue,
-// not in the socket layer.
+// The socket side is one net::LineServer: it accepts, gives each live
+// connection its own handler thread, and hands this class one request
+// line at a time. Each line is submitted to the service and answered
+// with the response items followed by a terminator line (see
+// serve/protocol.hpp). Connections are served request-at-a-time — the
+// concurrency story lives in the service queue, not in the socket layer.
 //
 // Shutdown: stop() (or SIGTERM observed by run()) closes the listener,
-// wakes every handler, drains the service (completing all admitted
-// requests), and joins all threads.
+// drains the service (completing all admitted requests), then shuts
+// down the remaining connections and joins their handlers.
 //
 // Robustness: SIGPIPE is ignored process-wide (net::ignore_sigpipe), all
 // socket writes absorb EINTR/EAGAIN and partial writes (net::send_all),
-// and a connection that sends no bytes for idle_ms (EVA_SERVE_IDLE_MS)
-// is closed so a stalled client cannot pin a handler thread forever.
+// and a connection that sends no line for idle_ms is closed so a
+// stalled client cannot pin a handler thread forever.
 //
 // Fault sites (EVA_FAULT, util/fault.hpp): `serve_accept` drops a
 // freshly accepted connection; `serve_slow_client` trickles a response
@@ -29,28 +28,20 @@
 // deterministically in tests and in the chaos gate.
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "serve/net.hpp"
 #include "serve/service.hpp"
 
 namespace eva::serve {
-
-/// Parse EVA_SERVE_IDLE_MS (fractional milliseconds; unset/invalid ->
-/// `fallback`). Exposed for the ServerConfig default initializer.
-[[nodiscard]] double idle_ms_from_env(double fallback);
 
 struct ServerConfig {
   std::string bind_addr = "127.0.0.1";
   int port = 7077;  // 0 = ephemeral (bound port returned by listen_and_start)
   /// Per-connection idle read timeout: a connection that delivers no
-  /// bytes for this long is closed (serve.idle_timeouts counter). 0
-  /// disables. EVA_SERVE_IDLE_MS overrides.
-  double idle_ms = idle_ms_from_env(0.0);
+  /// line for this long is closed (serve.idle_timeouts counter). 0
+  /// disables.
+  double idle_ms = 0.0;
 };
 
 class JsonLineServer {
@@ -62,7 +53,7 @@ class JsonLineServer {
   JsonLineServer(const JsonLineServer&) = delete;
   JsonLineServer& operator=(const JsonLineServer&) = delete;
 
-  /// Bind + listen + start the acceptor thread. Returns the bound port.
+  /// Bind + listen + start accepting. Returns the bound port.
   /// Throws eva::ConfigError when the socket cannot be bound.
   int listen_and_start();
 
@@ -77,19 +68,13 @@ class JsonLineServer {
   [[nodiscard]] int port() const { return bound_port_; }
 
  private:
-  void accept_loop();
-  void handle_connection(int fd);
+  /// One request line of connection `fd`; false closes the connection.
+  [[nodiscard]] bool handle_line(int fd, const std::string& line, bool slow);
 
   GenerationService* service_;
   ServerConfig cfg_;
-  int listen_fd_ = -1;
   int bound_port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> handlers_;
-  std::vector<int> open_fds_;
-  std::once_flag stop_once_;
+  net::LineServer lines_;
 };
 
 }  // namespace eva::serve

@@ -26,14 +26,12 @@
 // sidecar degrades by forgetting, never by growing without limit.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
+
+#include "serve/net.hpp"
+#include "util/lru.hpp"
 
 namespace eva::serve {
 
@@ -53,7 +51,7 @@ class CacheSidecar {
   CacheSidecar(const CacheSidecar&) = delete;
   CacheSidecar& operator=(const CacheSidecar&) = delete;
 
-  /// Bind + listen + start the acceptor thread; returns the bound port.
+  /// Bind + listen + start accepting; returns the bound port.
   /// Throws eva::ConfigError when the socket cannot be bound.
   int listen_and_start();
 
@@ -67,27 +65,18 @@ class CacheSidecar {
   [[nodiscard]] std::size_t size() const;
 
  private:
-  void accept_loop();
-  void handle_connection(int fd);
+  /// One command line of connection `fd`; false closes the connection.
+  [[nodiscard]] bool handle_line(int fd, const std::string& line);
   [[nodiscard]] bool get(const std::string& key, std::string* value);
   void put(const std::string& key, std::string value);
 
   SidecarConfig cfg_;
-  int listen_fd_ = -1;
   int bound_port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> handlers_;
-  std::vector<int> open_fds_;
-  std::once_flag stop_once_;
 
-  // Bounded LRU: front of lru_ = most recently used.
   mutable std::mutex cache_mu_;
-  std::list<std::pair<std::string, std::string>> lru_;
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, std::string>>::iterator>
-      index_;
+  Lru<std::string, std::string> lru_;
+
+  net::LineServer lines_;
 };
 
 }  // namespace eva::serve

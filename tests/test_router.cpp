@@ -4,19 +4,20 @@
 // failover on dropped/torn connections, breaker trip + half-open
 // recovery via the health prober, hedged dispatch with loser
 // cancellation, router-level load shedding, the shared cache sidecar
-// (miss -> fill -> cross-replica hit), and real JsonLineServer replicas
-// under injected serve_conn_drop / serve_partial_write faults.
+// (miss -> fill -> cross-replica hit), bounded threads and VmSize under
+// connection churn on every net::LineServer owner, and real
+// JsonLineServer replicas under injected serve_conn_drop /
+// serve_partial_write faults.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
+#include <malloc.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -59,30 +60,15 @@ class FakeReplica {
     kStall,    // sleep stall_ms, then answer ok
   };
 
-  explicit FakeReplica(int id, Mode mode = Mode::kOk) : id_(id), mode_(mode) {
-    net::ignore_sigpipe();
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0;
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-    ::listen(listen_fd_, 16);
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-    port_ = ntohs(bound.sin_port);
-    acceptor_ = std::thread([this] { accept_loop(); });
-  }
-
-  ~FakeReplica() {
-    stopping_.store(true);
-    if (acceptor_.joinable()) acceptor_.join();
-    ::close(listen_fd_);
-    std::lock_guard<std::mutex> lk(mu_);
-    for (auto& t : handlers_) {
-      if (t.joinable()) t.join();
-    }
+  explicit FakeReplica(int id, Mode mode = Mode::kOk)
+      : id_(id),
+        mode_(mode),
+        lines_("fake_replica", [this](int fd) -> net::LineServer::LineHandler {
+          return [this, fd](const std::string& line) {
+            return handle_line(fd, line);
+          };
+        }) {
+    port_ = lines_.start("127.0.0.1", 0, 0.0);
   }
 
   [[nodiscard]] int port() const { return port_; }
@@ -94,104 +80,64 @@ class FakeReplica {
   void set_stall_ms(int ms) { stall_ms_.store(ms); }
 
  private:
-  void accept_loop() {
-    while (!stopping_.load()) {
-      pollfd pfd{listen_fd_, POLLIN, 0};
-      if (::poll(&pfd, 1, 20) <= 0) continue;
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) continue;
-      std::lock_guard<std::mutex> lk(mu_);
-      handlers_.emplace_back([this, fd] { handle(fd); });
+  bool handle_line(int fd, const std::string& line) {
+    if (line.find("\"cmd\"") != std::string::npos) {
+      // kDrop models a dead replica: probes fail like data traffic.
+      // Every other mode answers probes so the prober keeps the breaker
+      // closed and only the data path misbehaves.
+      return mode_.load() != Mode::kDrop &&
+             net::send_line(
+                 fd, "{\"done\": true, \"status\": \"ok\", \"cmd\": \"stats\"}");
     }
-  }
-
-  void handle(int fd) {
-    std::string buf;
-    char chunk[2048];
-    bool open = true;
-    while (open && !stopping_.load()) {
-      pollfd pfd{fd, POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, 20);
-      if (rc < 0) break;
-      if (rc == 0) continue;
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;
-      buf.append(chunk, static_cast<std::size_t>(n));
-      std::size_t nl;
-      while (open && (nl = buf.find('\n')) != std::string::npos) {
-        const std::string line = buf.substr(0, nl);
-        buf.erase(0, nl + 1);
-        if (line.empty()) continue;
-        if (line.find("\"cmd\"") != std::string::npos) {
-          // kDrop models a dead replica: probes fail like data traffic.
-          // Every other mode answers probes so the prober keeps the
-          // breaker closed and only the data path misbehaves.
-          if (mode_.load() == Mode::kDrop) {
-            open = false;
-            continue;
-          }
-          open = net::send_line(
-              fd, "{\"done\": true, \"status\": \"ok\", \"cmd\": \"stats\"}");
-          continue;
+    served_.fetch_add(1);
+    const std::string item = "{\"request_id\": 1, \"replica\": " +
+                             std::to_string(id_) +
+                             ", \"netlist\": \"fake\", \"decoded\": true, "
+                             "\"valid\": true, \"fom\": 1, "
+                             "\"cached\": false}";
+    const std::string done =
+        "{\"done\": true, \"status\": \"ok\", \"request_id\": 1, "
+        "\"items\": 1, \"latency_ms\": 1}";
+    switch (mode_.load()) {
+      case Mode::kOk:
+        break;
+      case Mode::kDrop:
+        return false;
+      case Mode::kPartial:
+        (void)net::send_all(fd,
+                            std::string_view(item).substr(0, item.size() / 2));
+        return false;
+      case Mode::kReject:
+        return net::send_line(
+            fd,
+            "{\"done\": true, \"status\": \"rejected\", \"request_id\": 1, "
+            "\"items\": 0, \"latency_ms\": 0, \"retry_after_ms\": 7}");
+      case Mode::kStall: {
+        const auto until =
+            Clock::now() + std::chrono::milliseconds(stall_ms_.load());
+        while (Clock::now() < until && !lines_.stopping()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
         }
-        served_.fetch_add(1);
-        const std::string item = "{\"request_id\": 1, \"replica\": " +
-                                 std::to_string(id_) +
-                                 ", \"netlist\": \"fake\", \"decoded\": true, "
-                                 "\"valid\": true, \"fom\": 1, "
-                                 "\"cached\": false}";
-        const std::string done =
-            "{\"done\": true, \"status\": \"ok\", \"request_id\": 1, "
-            "\"items\": 1, \"latency_ms\": 1}";
-        switch (mode_.load()) {
-          case Mode::kOk:
-            open = net::send_line(fd, item) && net::send_line(fd, done);
-            break;
-          case Mode::kDrop:
-            open = false;
-            break;
-          case Mode::kPartial:
-            (void)net::send_all(fd,
-                                std::string_view(item).substr(0, item.size() / 2));
-            open = false;
-            break;
-          case Mode::kReject:
-            open = net::send_line(
-                fd,
-                "{\"done\": true, \"status\": \"rejected\", \"request_id\": 1, "
-                "\"items\": 0, \"latency_ms\": 0, \"retry_after_ms\": 7}");
-            break;
-          case Mode::kStall: {
-            const auto until =
-                Clock::now() + std::chrono::milliseconds(stall_ms_.load());
-            while (Clock::now() < until && !stopping_.load()) {
-              std::this_thread::sleep_for(std::chrono::milliseconds(5));
-            }
-            open = net::send_line(fd, item) && net::send_line(fd, done);
-            break;
-          }
-        }
+        break;
       }
     }
-    ::close(fd);
+    return net::send_line(fd, item) && net::send_line(fd, done);
   }
 
   int id_;
   std::atomic<Mode> mode_;
   std::atomic<int> stall_ms_{500};
   std::atomic<int> served_{0};
-  std::atomic<bool> stopping_{false};
-  int listen_fd_ = -1;
   int port_ = 0;
-  std::thread acceptor_;
-  std::mutex mu_;
-  std::vector<std::thread> handlers_;
+  net::LineServer lines_;  // last: stops (joining handlers) first
 };
 
 /// One client round trip through the router: send `line`, read until the
-/// terminator, return every response line.
+/// terminator, return every response line. `reset` closes with an RST,
+/// leaving no TIME_WAIT socket to hold the client's ephemeral port.
 std::vector<std::string> round_trip(int port, const std::string& line,
-                                    double timeout_ms = 5000.0) {
+                                    double timeout_ms = 5000.0,
+                                    bool reset = false) {
   std::vector<std::string> lines;
   const int fd = net::connect_with_deadline("127.0.0.1", port, 2000.0);
   if (fd < 0) return lines;
@@ -205,6 +151,10 @@ std::vector<std::string> round_trip(int port, const std::string& line,
       lines.push_back(resp);
       if (resp.find("\"done\"") != std::string::npos) break;
     }
+  }
+  if (reset) {
+    const linger hard{1, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
   }
   ::close(fd);
   return lines;
@@ -243,6 +193,49 @@ std::uint64_t seed_with_primary(std::size_t n_backends, std::size_t want,
     if (ring.primary(request_ring_key(tag, seed, 0)) == want) return seed;
   }
   return 1;  // unreachable for any sane ring
+}
+
+/// A numeric /proc/self/status field: "Threads", or "VmSize" in kB.
+long proc_status(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stol(line.substr(field.size() + 1));
+    }
+  }
+  return -1;
+}
+
+/// Open 5,000 sequential connections to `port`, one stats round trip
+/// each, and check the listener gave back every handler thread and its
+/// stack: a finished handler kept until stop() costs an 8 MB mapping.
+void expect_connections_released(int port) {
+  // glibc gives a thread that finds every malloc arena attached to other
+  // live threads an arena of its own, reserving 64 MB of address space
+  // (up to 8 x cores arenas). That growth is bounded and unrelated to
+  // connection count, so pin it to keep VmSize measuring thread stacks.
+  mallopt(M_ARENA_MAX, 1);
+  const long threads0 = proc_status("Threads");
+  const long vm0_kb = proc_status("VmSize");
+  // Reset closes: 5,000 TIME_WAIT sockets would hold a sixth of the
+  // ephemeral port range for a minute, and the serving gates bind
+  // fixed ports inside it.
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(round_trip(port, "{\"cmd\": \"stats\"}", 5000.0, true).size(),
+              1u)
+        << "connection " << i;
+  }
+  // The accept loop joins the last handler on its next pass; the margin
+  // covers a router health probe in flight.
+  const auto give_up = Clock::now() + std::chrono::seconds(5);
+  while (proc_status("Threads") > threads0 + 2 && Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(proc_status("Threads"), threads0 + 2);
+  EXPECT_LT(proc_status("VmSize") - vm0_kb, 256 * 1024)
+      << "VmSize grew by " << (proc_status("VmSize") - vm0_kb) / 1024
+      << " MB over 5000 closed connections";
 }
 
 // --- hash ring ---------------------------------------------------------------
@@ -657,6 +650,38 @@ TEST(RouterFleetTest, CacheMissFillThenCrossReplicaHit) {
   EXPECT_TRUE(third[0].find("\"status\": \"unavailable\"") !=
               std::string::npos);
   router.stop();
+  cache.stop();
+}
+
+// --- listener resource bounds -----------------------------------------------
+
+TEST(ListenerLeakTest, JsonLineServerReleasesClosedConnections) {
+  train::clear_stop();
+  nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
+  Rng rng(7);
+  nn::TransformerLM model(nn::ModelConfig::tiny(tok.vocab_size()), rng);
+  GenerationService svc(model, tok, ServiceConfig{});
+  ServerConfig cfg;
+  cfg.port = 0;
+  JsonLineServer server(svc, cfg);
+  expect_connections_released(server.listen_and_start());
+  server.stop();
+}
+
+TEST(ListenerLeakTest, RouterReleasesClosedConnections) {
+  train::clear_stop();
+  FakeReplica a(0, FakeReplica::Mode::kOk);
+  Router router(fast_router({a.addr()}));
+  expect_connections_released(router.listen_and_start());
+  router.stop();
+}
+
+TEST(ListenerLeakTest, CacheSidecarReleasesClosedConnections) {
+  train::clear_stop();
+  SidecarConfig cfg;
+  cfg.port = 0;
+  CacheSidecar cache(cfg);
+  expect_connections_released(cache.listen_and_start());
   cache.stop();
 }
 

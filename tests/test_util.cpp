@@ -7,9 +7,11 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/io.hpp"
+#include "util/lru.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -335,6 +337,30 @@ TEST(Io, AsciiCurveHandlesData) {
 TEST(Io, AsciiCurveEmpty) {
   const std::string s = eva::ascii_curve({}, "none");
   EXPECT_NE(s.find("no data"), std::string::npos);
+}
+
+TEST(Lru, EvictsLeastRecentlyUsed) {
+  eva::Lru<int, std::string> lru(2);
+  EXPECT_FALSE(lru.put(1, "a"));
+  EXPECT_FALSE(lru.put(2, "b"));
+  ASSERT_NE(lru.get(1), nullptr);  // 1 is now most recent
+  EXPECT_TRUE(lru.put(3, "c"));    // evicts 2
+  EXPECT_EQ(lru.get(2), nullptr);
+  EXPECT_EQ(*lru.get(1), "a");
+  EXPECT_FALSE(lru.put(1, "z"));  // overwrite: no eviction
+  EXPECT_EQ(*lru.get(1), "z");
+  EXPECT_EQ(lru.size(), 2u);
+  lru.clear();
+  EXPECT_EQ(lru.size(), 0u);
+  EXPECT_EQ(lru.get(3), nullptr);
+}
+
+TEST(Lru, ZeroCapacityHoldsOne) {
+  eva::Lru<int, int> lru(0);
+  lru.put(1, 1);
+  EXPECT_TRUE(lru.put(2, 2));
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_EQ(*lru.get(2), 2);
 }
 
 }  // namespace
