@@ -40,7 +40,9 @@ using namespace eva;
 
 // Raw kernel throughput for the three GEMM shapes the training loop
 // exercises: nn (forward), nt (input-gradient), tn (weight-gradient).
-// items_per_second == FLOP/s; read it as GFLOP/s.
+// items_per_second == FLOP/s; read it as GFLOP/s. Every benchmark whose
+// work can run on the thread pool times wall clock (UseRealTime):
+// main-thread CPU time leaves out what the workers do.
 
 void BM_GemmNN(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -56,7 +58,7 @@ void BM_GemmNN(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * state.range(0) *
                           state.range(0) * state.range(0));
 }
-BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256)->UseRealTime();
 
 void BM_GemmNT(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -72,7 +74,7 @@ void BM_GemmNT(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * state.range(0) *
                           state.range(0) * state.range(0));
 }
-BENCHMARK(BM_GemmNT)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmNT)->Arg(64)->Arg(256)->UseRealTime();
 
 void BM_GemmTN(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -88,7 +90,7 @@ void BM_GemmTN(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * state.range(0) *
                           state.range(0) * state.range(0));
 }
-BENCHMARK(BM_GemmTN)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmTN)->Arg(64)->Arg(256)->UseRealTime();
 
 // Quantized inference GEMM (weight-only int8/bf16, fused bias epilogue)
 // at the batched-decode shape: n rows of activations against a
@@ -117,11 +119,11 @@ void bm_qgemm(benchmark::State& state, tensor::QuantKind kind) {
 void BM_QGemmInt8(benchmark::State& state) {
   bm_qgemm(state, tensor::QuantKind::kInt8);
 }
-BENCHMARK(BM_QGemmInt8)->Arg(1)->Arg(8)->Arg(16);
+BENCHMARK(BM_QGemmInt8)->Arg(1)->Arg(8)->Arg(16)->UseRealTime();
 void BM_QGemmBf16(benchmark::State& state) {
   bm_qgemm(state, tensor::QuantKind::kBf16);
 }
-BENCHMARK(BM_QGemmBf16)->Arg(1)->Arg(8)->Arg(16);
+BENCHMARK(BM_QGemmBf16)->Arg(1)->Arg(8)->Arg(16)->UseRealTime();
 
 void BM_TensorMatmul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -133,7 +135,7 @@ void BM_TensorMatmul(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
 }
-BENCHMARK(BM_TensorMatmul)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_TensorMatmul)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 void BM_TransformerForwardBackward(benchmark::State& state) {
   Rng rng(2);
@@ -231,7 +233,7 @@ void BM_SampleBatchReference(benchmark::State& state) {
   }
   state.SetItemsProcessed(tokens);
 }
-BENCHMARK(BM_SampleBatchReference)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SampleBatchReference)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void bm_sample_batch_decoder(benchmark::State& state, tensor::QuantKind quant) {
   const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
@@ -262,14 +264,46 @@ void BM_SampleBatchDecoder(benchmark::State& state) {
       state, tensor::quant_kind_from_env(tensor::QuantKind::kInt8));
 }
 BENCHMARK(BM_SampleBatchDecoder)->Arg(1)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 // The f32 trajectory, kept as its own family so the quantization win
 // stays measurable against the same commit.
 void BM_SampleBatchDecoderF32(benchmark::State& state) {
   bm_sample_batch_decoder(state, tensor::QuantKind::kF32);
 }
 BENCHMARK(BM_SampleBatchDecoderF32)->Arg(1)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// One f32 batched decode step of the bench-scale model at `rows` live
+// slots: the 13 GEMMs (12 block linears + lm_head), per-row attention
+// and layernorms, without sampling. Slot positions sweep 0..kDecodeLen-1
+// and restart, so attention cost is averaged over those positions.
+// items_per_second == decode steps/sec; real_time is microseconds/step.
+constexpr int kDecodeLen = 96;
+
+void BM_DecodeStep(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
+  Rng rng(32);
+  nn::TransformerLM model(nn::ModelConfig::bench_scale(tok.vocab_size()), rng);
+  auto cache = model.make_batched_cache(rows);
+  std::vector<int> slots(static_cast<std::size_t>(rows));
+  std::vector<int> tokens(static_cast<std::size_t>(rows));
+  for (int i = 0; i < rows; ++i) {
+    slots[static_cast<std::size_t>(i)] = i;
+    tokens[static_cast<std::size_t>(i)] = 5 + i;
+  }
+  std::vector<float> logits;
+  for (auto _ : state) {
+    if (cache.len[0] == kDecodeLen) {
+      for (int s = 0; s < rows; ++s) cache.reset_slot(s);
+    }
+    model.infer_step_batched(cache, slots, tokens, logits);
+    benchmark::DoNotOptimize(logits.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DecodeStep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // --- circuit ----------------------------------------------------------------
 

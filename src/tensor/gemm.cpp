@@ -33,31 +33,52 @@ constexpr std::size_t kNr = 32;
 // the B panel touched by one tile pass L1/L2-resident.
 constexpr std::size_t kKc = 256;
 
-// C tile (mr x nr) += A'(mr x kc) @ Bp(kc x nr).
+// Full-width tile of MR rows: C (MR x kNr) += A'(MR x kc) @ Bp(kc x kNr).
+// Fixed trip counts so the inner loops vectorize and the accumulators stay
+// in registers across the whole k sweep. Every row count 1..kMr gets its
+// own instance because decode GEMMs have M = live slots, usually < kMr.
+template <std::size_t MR>
+void row_tile(std::size_t kc, const float* a, std::size_t rsa,
+              std::size_t csa, const float* bp, std::size_t ldb, float* c,
+              std::size_t ldc) {
+  float acc[MR][kNr] = {};
+  for (std::size_t k = 0; k < kc; ++k) {
+    const float* brow = bp + k * ldb;
+    for (std::size_t r = 0; r < MR; ++r) {
+      const float av = a[r * rsa + k * csa];
+      for (std::size_t n = 0; n < kNr; ++n) acc[r][n] += av * brow[n];
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r) {
+    float* crow = c + r * ldc;
+    for (std::size_t n = 0; n < kNr; ++n) crow[n] += acc[r][n];
+  }
+}
+
+// C tile (mr x nr) += A'(mr x kc) @ Bp(kc x nr), mr <= kMr, nr <= kNr.
 // A' element (r,k) lives at a[r*rsa + k*csa] — (rsa=lda, csa=1) walks A
 // row-major, (rsa=1, csa=lda) walks a transposed view without copying.
-// Bp is row-major with leading dimension ldb; C with ldc.
+// Bp is row-major with leading dimension ldb; C with ldc. Every path sums
+// each element over k in order within the K-panel, then adds it into C,
+// so results do not depend on which path a tile takes.
 void micro_kernel(std::size_t kc, const float* a, std::size_t rsa,
                   std::size_t csa, const float* bp, std::size_t ldb, float* c,
                   std::size_t ldc, std::size_t mr, std::size_t nr) {
-  if (mr == kMr && nr == kNr) {
-    // Full tile: fixed trip counts so the inner loops vectorize and the
-    // accumulators stay in registers across the whole k sweep.
-    float acc[kMr][kNr] = {};
-    for (std::size_t k = 0; k < kc; ++k) {
-      const float* brow = bp + k * ldb;
-      for (std::size_t r = 0; r < kMr; ++r) {
-        const float av = a[r * rsa + k * csa];
-        for (std::size_t n = 0; n < kNr; ++n) acc[r][n] += av * brow[n];
-      }
+  static_assert(kMr == 8, "the row_tile switch covers row counts 1..8");
+  if (nr == kNr) {
+    switch (mr) {
+      case 1: return row_tile<1>(kc, a, rsa, csa, bp, ldb, c, ldc);
+      case 2: return row_tile<2>(kc, a, rsa, csa, bp, ldb, c, ldc);
+      case 3: return row_tile<3>(kc, a, rsa, csa, bp, ldb, c, ldc);
+      case 4: return row_tile<4>(kc, a, rsa, csa, bp, ldb, c, ldc);
+      case 5: return row_tile<5>(kc, a, rsa, csa, bp, ldb, c, ldc);
+      case 6: return row_tile<6>(kc, a, rsa, csa, bp, ldb, c, ldc);
+      case 7: return row_tile<7>(kc, a, rsa, csa, bp, ldb, c, ldc);
+      case 8: return row_tile<8>(kc, a, rsa, csa, bp, ldb, c, ldc);
+      default: break;
     }
-    for (std::size_t r = 0; r < kMr; ++r) {
-      float* crow = c + r * ldc;
-      for (std::size_t n = 0; n < kNr; ++n) crow[n] += acc[r][n];
-    }
-    return;
   }
-  // Ragged edge tile.
+  // Ragged column edge.
   float acc[kMr][kNr] = {};
   for (std::size_t k = 0; k < kc; ++k) {
     const float* brow = bp + k * ldb;

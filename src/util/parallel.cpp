@@ -21,9 +21,15 @@ std::atomic<std::size_t> g_override{0};
 // hardware_concurrency so set_num_threads(huge) cannot fork-bomb.
 constexpr std::size_t kMaxPoolThreads = 16;
 
+// Read once per process: glibc's hardware_concurrency() re-reads the
+// online-CPU list from sysfs (a syscall) on every call, and every
+// parallel call consults the count before deciding to run inline.
 std::size_t hardware_threads() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hc == 0 ? 1 : hc, 1, kMaxPoolThreads);
+  static const std::size_t n = [] {
+    const unsigned hc = std::thread::hardware_concurrency();
+    return std::clamp<std::size_t>(hc == 0 ? 1 : hc, 1, kMaxPoolThreads);
+  }();
+  return n;
 }
 
 // True while this thread is executing chunks of some parallel region

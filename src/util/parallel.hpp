@@ -21,7 +21,8 @@
 namespace eva {
 
 /// Number of worker threads used by parallel_for (hardware_concurrency,
-/// clamped to [1, 16]). Overridable for tests via set_num_threads.
+/// clamped to [1, 16], read once per process). Overridable for tests via
+/// set_num_threads.
 [[nodiscard]] std::size_t num_threads();
 
 /// Override the worker count (0 restores the hardware default).

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -273,6 +274,76 @@ TEST(Gemm, GemvMatchesGemmRow) {
       for (std::size_t j = 0; j < out; ++j)
         ASSERT_NEAR(y[j], ref[j] + b[j], 1e-4f * static_cast<float>(in) + 1e-5f)
             << "bias in=" << in << " out=" << out << " @" << j;
+    }
+  }
+}
+
+std::vector<float> transposed(const std::vector<float>& m, std::size_t rows,
+                              std::size_t cols) {
+  std::vector<float> t(m.size());
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) t[c * rows + r] = m[r * cols + c];
+  return t;
+}
+
+// C(M,N) += A(M,K) @ B(K,N), both row-major, in the kernels' summation
+// order: within each K-panel of kKc (gemm.cpp's bound), every element is
+// summed over k in order starting from zero, and the panel sum is then
+// added into C. The update has the kernels' shape (one A scalar times a
+// row of B into a row of accumulators), so a build that contracts
+// multiply-adds into FMAs contracts both the same way.
+void panel_order_reference(const std::vector<float>& A,
+                           const std::vector<float>& B, std::vector<float>& C,
+                           std::size_t M, std::size_t K, std::size_t N) {
+  constexpr std::size_t kKc = 256;
+  std::vector<float> acc(N);
+  for (std::size_t kb = 0; kb < K; kb += kKc) {
+    const std::size_t ke = std::min(K, kb + kKc);
+    for (std::size_t i = 0; i < M; ++i) {
+      std::fill(acc.begin(), acc.end(), 0.0f);
+      for (std::size_t k = kb; k < ke; ++k) {
+        const float av = A[i * K + k];
+        for (std::size_t j = 0; j < N; ++j) acc[j] += av * B[k * N + j];
+      }
+      for (std::size_t j = 0; j < N; ++j) C[i * N + j] += acc[j];
+    }
+  }
+}
+
+TEST(Gemm, RowTilesBitwiseMatchPanelOrderReference) {
+  // The kernels' summation order is part of their contract: batched
+  // decode matches per-sequence decode bitwise because of it. Every row
+  // count 1..17 (each register tile, and tiles stacked past the 8-row
+  // bound), ragged columns, and one-past-a-panel K must reproduce that
+  // order exactly, not within a tolerance.
+  Rng rng(102);
+  for (std::size_t M = 1; M <= 17; ++M) {
+    for (std::size_t K : {3u, 64u, 256u, 300u}) {
+      for (std::size_t N : {5u, 64u, 165u}) {
+        const auto A = random_mat(M, K, rng);
+        const auto B = random_mat(K, N, rng);
+        const auto C0 = random_mat(M, N, rng);
+        auto ref = C0;
+        panel_order_reference(A, B, ref, M, K, N);
+        const auto bytes = ref.size() * sizeof(float);
+
+        auto out = C0;
+        gemm_nn(A.data(), B.data(), out.data(), M, K, N);
+        ASSERT_EQ(std::memcmp(out.data(), ref.data(), bytes), 0)
+            << "nn M=" << M << " K=" << K << " N=" << N;
+
+        out = C0;
+        const auto Bt = transposed(B, K, N);  // (N,K)
+        gemm_nt(A.data(), Bt.data(), out.data(), M, K, N);
+        ASSERT_EQ(std::memcmp(out.data(), ref.data(), bytes), 0)
+            << "nt M=" << M << " K=" << K << " N=" << N;
+
+        out = C0;
+        const auto At = transposed(A, M, K);  // (K,M)
+        gemm_tn(At.data(), B.data(), out.data(), K, M, N);
+        ASSERT_EQ(std::memcmp(out.data(), ref.data(), bytes), 0)
+            << "tn M=" << M << " K=" << K << " N=" << N;
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -291,6 +292,37 @@ TEST(Parallel, ManyDispatchesSmoke) {
     });
   }
   EXPECT_EQ(sum.load(), 200L * (64L * 63L / 2));
+}
+
+// Read-syscall count of this process, or -1 when /proc/self/io is absent
+// or unreadable (non-Linux, restricted procfs).
+long read_syscalls() {
+  std::ifstream io("/proc/self/io");
+  std::string key;
+  long value = 0;
+  while (io >> key >> value) {
+    if (key == "syscr:") return value;
+  }
+  return -1;
+}
+
+TEST(Parallel, InlineCallsDoNotRereadCpuCount) {
+  // A single-index range always runs inline, so the only per-call cost
+  // left is consulting the worker count. That count must be read once per
+  // process: glibc's hardware_concurrency() re-reads the online-CPU list
+  // from sysfs on every call, which would cost a read syscall per call on
+  // every decode step's GEMMs.
+  eva::set_num_threads(0);
+  long hits = 0;
+  eva::parallel_for(0, 1, [&](std::size_t) { ++hits; });  // first read
+  const long before = read_syscalls();
+  if (before < 0) GTEST_SKIP() << "/proc/self/io is not readable";
+  for (int i = 0; i < 1000; ++i) {
+    eva::parallel_for(0, 1, [&](std::size_t) { ++hits; });
+  }
+  const long after = read_syscalls();
+  EXPECT_EQ(hits, 1001);
+  EXPECT_LT(after - before, 10) << "read syscalls across 1000 inline calls";
 }
 
 // --- io --------------------------------------------------------------------
