@@ -27,12 +27,20 @@ const data::Dataset& shared_ds() {
   return ds;
 }
 
-using Factory = std::unique_ptr<TopologyGenerator> (*)(const data::Dataset&);
+// A baseline factory with a fixed label. The label is what GoogleTest prints
+// for the parameter, so test names stay the same from build to build (a bare
+// function pointer would print its load address).
+struct Factory {
+  const char* label;
+  std::unique_ptr<TopologyGenerator> (*make)(const data::Dataset&);
+};
+
+void PrintTo(const Factory& f, std::ostream* os) { *os << f.label; }
 
 class AllBaselines : public ::testing::TestWithParam<Factory> {};
 
 TEST_P(AllBaselines, ProducesSomeValidCircuits) {
-  auto gen = GetParam()(shared_ds());
+  auto gen = GetParam().make(shared_ds());
   Rng rng(1);
   int valid = 0;
   for (int i = 0; i < 40; ++i) {
@@ -45,7 +53,7 @@ TEST_P(AllBaselines, ProducesSomeValidCircuits) {
 
 TEST_P(AllBaselines, ProducesSomeInvalidCircuits) {
   // Every baseline has a real error model: validity is not 100%.
-  auto gen = GetParam()(shared_ds());
+  auto gen = GetParam().make(shared_ds());
   Rng rng(2);
   int invalid = 0;
   for (int i = 0; i < 60; ++i) {
@@ -56,10 +64,15 @@ TEST_P(AllBaselines, ProducesSomeInvalidCircuits) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Factories, AllBaselines,
-                         ::testing::Values(&baselines::make_analogcoder_like,
-                                           &baselines::make_artisan_like,
-                                           &baselines::make_cktgnn_like,
-                                           &baselines::make_lamagic_like));
+                         ::testing::Values(
+                             Factory{"analogcoder_like",
+                                     &baselines::make_analogcoder_like},
+                             Factory{"artisan_like",
+                                     &baselines::make_artisan_like},
+                             Factory{"cktgnn_like",
+                                     &baselines::make_cktgnn_like},
+                             Factory{"lamagic_like",
+                                     &baselines::make_lamagic_like}));
 
 TEST(AnalogCoderLike, ReusesLibraryOnly) {
   auto gen = baselines::make_analogcoder_like(shared_ds());
