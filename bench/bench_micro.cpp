@@ -152,51 +152,10 @@ void BM_TransformerForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformerForwardBackward)->Unit(benchmark::kMillisecond);
 
-void BM_KvCacheTokenThroughput(benchmark::State& state) {
-  Rng rng(3);
-  nn::ModelConfig cfg = nn::ModelConfig::bench_scale(200);
-  nn::TransformerLM model(cfg, rng);
-  std::vector<float> logits;
-  auto cache = model.make_cache();
-  int produced = 0;
-  for (auto _ : state) {
-    if (cache.len >= cfg.max_seq) cache = model.make_cache();
-    model.infer_step(cache, 5, logits);
-    ++produced;
-    benchmark::DoNotOptimize(logits.data());
-  }
-  state.SetItemsProcessed(produced);
-}
-BENCHMARK(BM_KvCacheTokenThroughput);
-
-// End-to-end generation: KV-cache inference + legality masking + top-k
-// sampling, the loop batched topology discovery spends its time in.
-// items_per_second == sampled tokens/sec.
-void BM_SampleTokenThroughput(benchmark::State& state) {
-  const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
-  Rng rng(30);
-  nn::ModelConfig cfg = nn::ModelConfig::bench_scale(tok.vocab_size());
-  nn::TransformerLM model(cfg, rng);
-  nn::SampleOptions opts;
-  opts.temperature = 0.9f;
-  opts.top_k = 12;
-  opts.max_len = 96;
-  Rng sample_rng(31);
-  std::int64_t tokens = 0;
-  for (auto _ : state) {
-    const auto res = nn::sample_sequence(model, tok, sample_rng, opts);
-    tokens += static_cast<std::int64_t>(res.ids.size());
-    benchmark::DoNotOptimize(res.ids.data());
-  }
-  state.SetItemsProcessed(tokens);
-}
-BENCHMARK(BM_SampleTokenThroughput)->Unit(benchmark::kMillisecond);
-
-// Batch generation head-to-head on an identical 24-sequence workload:
-// the thread-fanout reference path (B independent single-sequence
-// decodes) vs the continuous-batching BatchedDecoder at several widths.
-// items_per_second == sampled tokens/sec in both, so the ratio is the
-// end-to-end speedup of batched decode.
+// Batch generation on an identical 24-sequence workload through the
+// continuous-batching BatchedDecoder at several widths. items_per_second
+// == sampled tokens/sec, so the ratio between widths is the end-to-end
+// speedup of batched decode.
 
 nn::SampleOptions batch_bench_opts() {
   nn::SampleOptions opts;
@@ -205,35 +164,15 @@ nn::SampleOptions batch_bench_opts() {
   opts.max_len = 80;
   return opts;
 }
-// Deployment-shaped model for the head-to-head: large enough that the
-// weight matrices overflow L2, so per-sequence gemv decode re-streams
-// every weight once per token per sequence while the batched engine
-// streams them once per step for the whole cohort. bench_scale weights
-// fit in L1/L2, which would hide exactly the effect being measured.
+// Deployment-shaped model: large enough that the weight matrices
+// overflow L2, so a width-1 decode re-streams every weight once per token
+// per sequence while a width-B decode streams them once per step for the
+// whole cohort. bench_scale weights fit in L1/L2, which would hide
+// exactly the effect being measured.
 nn::ModelConfig batch_bench_config(int vocab) {
   return {vocab, 192, 4, 4, 768, 96, 0.0f};
 }
 constexpr int kBatchBenchSeqs = 24;
-
-void BM_SampleBatchReference(benchmark::State& state) {
-  const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
-  Rng rng(30);
-  nn::ModelConfig cfg = batch_bench_config(tok.vocab_size());
-  nn::TransformerLM model(cfg, rng);
-  const auto opts = batch_bench_opts();
-  Rng sample_rng(31);
-  std::int64_t tokens = 0;
-  for (auto _ : state) {
-    const auto batch = nn::sample_batch_reference(model, tok, sample_rng,
-                                                  kBatchBenchSeqs, opts);
-    for (const auto& res : batch) {
-      tokens += static_cast<std::int64_t>(res.ids.size());
-    }
-    benchmark::DoNotOptimize(batch.data());
-  }
-  state.SetItemsProcessed(tokens);
-}
-BENCHMARK(BM_SampleBatchReference)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void bm_sample_batch_decoder(benchmark::State& state, tensor::QuantKind quant) {
   const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});

@@ -86,9 +86,11 @@ eval::FomAtKResult Eva::discover(CircuitType target, int k,
   EVA_REQUIRE(prepared(), "call prepare() first");
   nn::SampleOptions opts;
   opts.temperature = cfg_.sample_temperature;
+  // All k candidates come from one batched decode, handed out in order.
+  const auto samples = nn::sample_batch(*model_, *tokenizer_, rng_, k, opts);
+  std::size_t next = 0;
   auto gen = [&]() -> eval::Attempt {
-    const auto s = nn::sample_sequence(*model_, *tokenizer_, rng_, opts);
-    return nn::ids_to_netlist(*tokenizer_, s.ids);
+    return nn::ids_to_netlist(*tokenizer_, samples[next++].ids);
   };
   return eval::fom_at_k(gen, k, target, ga);
 }

@@ -153,8 +153,7 @@ class SlidingHistogram {
 [[nodiscard]] SlidingHistogram& sliding_histogram(std::string_view name);
 
 /// Name/value snapshot of every counter whose name starts with `prefix`
-/// (sorted by name). For grouped exports like the per-backend GEMM
-/// dispatch counts in the serve stats snapshot.
+/// (sorted by name), for exporting a counter family as one group.
 [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>>
 counters_with_prefix(std::string_view prefix);
 

@@ -9,7 +9,6 @@
 //   EVA_SERVE_QUEUE_MAX     admission queue bound (default 64)
 //   EVA_SERVE_IDLE_MS       per-connection idle read timeout
 //   EVA_QUANT               inference weight tier: f32 (default) | bf16 | int8
-//   EVA_GEMM_BACKEND        kernel backend the GEMMs dispatch to (cpu)
 //   EVA_SURROGATE           1 = enable the learned FoM pre-filter
 //   EVA_SURROGATE_KEEP      fraction of cache misses that still run SPICE
 //   EVA_SURROGATE_CKPT      checkpoint dir for a trained surrogate head

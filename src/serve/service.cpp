@@ -12,7 +12,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/gemm_backend.hpp"
 #include "spice/engine.hpp"
 #include "spice/fom.hpp"
 #include "train/signal.hpp"
@@ -99,8 +98,7 @@ GenerationService::GenerationService(nn::TransformerLM& model,
           std::string("serve.backend.") +
           tensor::quant_kind_name(cfg.quant))) {
   obs::log_info("serve.backend",
-                {{"quant", tensor::quant_kind_name(cfg_.quant)},
-                 {"gemm_backend", tensor::gemm_backend_name()}});
+                {{"quant", tensor::quant_kind_name(cfg_.quant)}});
   if (cfg_.surrogate) {
     const double acc = cfg_.surrogate->ranking_accuracy();
     if (std::isfinite(acc)) {
@@ -420,7 +418,7 @@ Response GenerationService::execute(Pending& p, Rng& service_rng) {
       parallel_for(0, kept.size(), [&](std::size_t k) {
         const circuit::Netlist& nl = *netlists[kept[k]];
         CachedEval ev;
-        ev.valid = spice::simulatable(nl);
+        ev.valid = spice::simulatable(nl, cfg_.sim);
         if (ev.valid && cfg_.evaluate_fom) {
           const auto perf =
               spice::evaluate(nl, spice::default_sizing(nl), p.req.type,

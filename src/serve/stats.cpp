@@ -6,7 +6,6 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "tensor/gemm_backend.hpp"
 #include "tensor/quant.hpp"
 
 namespace eva::serve {
@@ -121,22 +120,11 @@ std::string stats_json(const GenerationService& svc) {
   counter_field(out, "deadline_exceeded", "serve.deadline_exceeded", &first);
   out += "}";
 
-  // Kernel-dispatch attribution: which backend and weight tier served
-  // the traffic (tensor.gemm_backend_dispatch.* is bumped per GEMM call,
-  // serve.backend.* once per request).
+  // The weight tier that served the traffic (serve.backend.* is bumped
+  // once per request).
   out += ", \"quant\": ";
   obs::json_string_into(out, tensor::quant_kind_name(svc.config().quant));
-  out += ", \"backends\": {";
-  first = true;
-  constexpr std::string_view kDispatchPrefix = "tensor.gemm_backend_dispatch.";
-  for (const auto& [name, value] : obs::counters_with_prefix(kDispatchPrefix)) {
-    out += first ? "" : ", ";
-    first = false;
-    obs::json_string_into(out, name.substr(kDispatchPrefix.size()));
-    out += ": ";
-    obs::json_number_into(out, value);
-  }
-  out += "}}";
+  out += "}";
   return out;
 }
 

@@ -654,20 +654,20 @@ std::vector<AcPoint> Simulator::ac_sweep(double f_lo, double f_hi,
   return sweep;
 }
 
-SimVerdict simulatable_verdict(const Netlist& nl) {
+SimVerdict simulatable_verdict(const Netlist& nl, const SimOptions& opts) {
   if (!circuit::structurally_valid(nl)) {
     return SimVerdict::kStructurallyInvalid;
   }
   try {
-    Simulator sim(nl, default_sizing(nl));
+    Simulator sim(nl, default_sizing(nl), opts);
     return sim.solve_dc() ? SimVerdict::kOk : SimVerdict::kNonConverged;
   } catch (const Error&) {
     return SimVerdict::kError;
   }
 }
 
-bool simulatable(const Netlist& nl) {
-  return simulatable_verdict(nl) == SimVerdict::kOk;
+bool simulatable(const Netlist& nl, const SimOptions& opts) {
+  return simulatable_verdict(nl, opts) == SimVerdict::kOk;
 }
 
 }  // namespace eva::spice

@@ -165,11 +165,15 @@ enum class SimVerdict {
   kError,                // netlist -> MNA mapping threw (malformed input)
 };
 
-[[nodiscard]] SimVerdict simulatable_verdict(const circuit::Netlist& nl);
+/// The DC solve runs under `opts`, so a caller that also extracts a FoM
+/// judges the verdict under the same options as the FoM.
+[[nodiscard]] SimVerdict simulatable_verdict(const circuit::Netlist& nl,
+                                             const SimOptions& opts = {});
 
 /// The paper's validity predicate: structurally sound AND simulatable with
 /// default sizing (DC operating point exists). Equivalent to
-/// simulatable_verdict(nl) == SimVerdict::kOk.
-[[nodiscard]] bool simulatable(const circuit::Netlist& nl);
+/// simulatable_verdict(nl, opts) == SimVerdict::kOk.
+[[nodiscard]] bool simulatable(const circuit::Netlist& nl,
+                               const SimOptions& opts = {});
 
 }  // namespace eva::spice

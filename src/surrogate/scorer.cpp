@@ -99,7 +99,7 @@ std::vector<float> SurrogateScorer::score_batch(
   const auto E = static_cast<std::size_t>(cfg_.d_embed);
   std::vector<float> X(n * E, 0.0f);
   // Pooling parallelizes across sequences; the GEMMs below parallelize
-  // internally through the backend seam.
+  // internally.
   parallel_for(0, n, [&](std::size_t i) {
     EVA_ASSERT(seqs[i] != nullptr, "surrogate: null sequence");
     pool_into(*seqs[i], &X[i * E]);

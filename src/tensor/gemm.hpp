@@ -1,32 +1,25 @@
-// Blocked, vectorization-friendly GEMM kernel family behind the runtime
-// backend seam.
+// Blocked, vectorization-friendly GEMM kernel family: one register-tiled
+// micro-kernel (MR x NR accumulator block, NR = one cache line of floats)
+// backs every matmul variant of the tensor engine and every linear of
+// the batched KV-cache decode step. All matrices are row-major float32
+// and the GEMM trio *accumulates* into C (C += ...), matching the
+// autograd convention of += into grads.
 //
-// These are the dispatch entry points the whole engine calls: each
-// routes through the active GemmBackendOps table (tensor/gemm_backend.hpp,
-// selected by EVA_GEMM_BACKEND / set_gemm_backend) and bumps the
-// per-backend tensor.gemm_backend_dispatch.<name> counter. The built-in
-// "cpu" backend is one register-tiled micro-kernel (MR x NR accumulator
-// block, NR = one cache line of floats) backing all matmul variants of
-// the tensor engine plus the KV-cache inference path's vector-matrix
-// products. All matrices are row-major float32 and the GEMM trio
-// *accumulates* into C (C += ...), matching the autograd convention of
-// += into grads.
-//
-// The quantized family (qgemm/qgemv) is inference-only: weight-quantized
+// The quantized entry (qgemm) is inference-only: weight-quantized
 // bf16/int8 matrices (tensor/quant.hpp) with a fused bias+activation
-// epilogue. These OVERWRITE their output. On AVX-512 VNNI/BF16 hardware
+// epilogue. It OVERWRITES its output. On AVX-512 VNNI/BF16 hardware
 // the multiplies run natively reduced-precision (int8: u8-quantized
 // activations + exact int32 vpdpbusd accumulation rescaled per column;
 // bf16: bf16-rounded activations + vdpbf16ps); elsewhere a portable
 // dequant-panel fallback computes in f32 with f32 activations. See
 // tensor/quant.hpp for the error model.
 //
-// Threading (cpu backend): gemm_nn / gemm_nt partition over rows of C,
-// gemm_tn and qgemm over columns of C (each thread owns a disjoint
-// column stripe, so the K-reduction needs no atomics or per-thread
-// buffers). All dispatch via eva::parallel_chunks, so they run inline
-// under set_num_threads(1) or when called from inside another parallel
-// region.
+// Threading: gemm_nn / gemm_nt partition over rows of C, gemm_tn and
+// qgemm over columns of C (each thread owns a disjoint column stripe, so
+// the K-reduction needs no atomics or per-thread buffers). All dispatch
+// via eva::parallel_chunks with chunks sized from the work, so small
+// products (a decode step's few rows) run inline, as does everything
+// under set_num_threads(1) or inside another parallel region.
 #pragma once
 
 #include <cstddef>
@@ -48,12 +41,6 @@ void gemm_nt(const float* A, const float* B, float* C, std::size_t M,
 void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
              std::size_t M, std::size_t N);
 
-/// y(out) = x(in) @ W(in,out) + bias. bias may be null (treated as 0).
-/// Serial: the inference path parallelizes across sequences, not inside
-/// a single token step.
-void gemv(const float* x, const float* w, const float* bias, float* y,
-          std::size_t in, std::size_t out);
-
 /// Y(n,out) ~= epilogue(X(n,in) @ dequant(W) [+ bias]) for a quantized
 /// weight matrix W(in,out), within the tier's documented error bound.
 /// Overwrites Y; bias must be non-null for the kBias/kBiasGelu
@@ -63,10 +50,5 @@ void gemv(const float* x, const float* w, const float* bias, float* y,
 /// quantization.
 void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
            std::size_t n, Epilogue ep);
-
-/// One-row variant of qgemm, bit-identical to a qgemm row (it runs the
-/// same 1-row kernel): y(out) ~= epilogue(x @ dequant(W) [+ bias]).
-void qgemv(const float* x, const QuantMatrix& W, const float* bias, float* y,
-           Epilogue ep);
 
 }  // namespace eva::tensor

@@ -1,9 +1,9 @@
 // Determinism + equivalence suite for the batched KV-cache decoding
 // engine (DESIGN.md "Batched KV-cache decoding"): infer_step_batched
-// must match infer_step, and BatchedDecoder must produce token-identical
-// sequences to the reference per-sequence path for any batch width —
-// including widths that force mid-stream slot refills — under the same
-// seeds. Also pins the SampleResult logprobs contract.
+// must match the training path's logits, and BatchedDecoder must produce
+// token-identical sequences for any batch width — including widths that
+// force mid-stream slot refills — and with pool workers running, under
+// the same seeds. Also pins the SampleResult logprobs contract.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -22,7 +22,7 @@ Tokenizer small_tokenizer() {
   return Tokenizer({4, 4, 2, 2, 2, 2, 2, 2});
 }
 
-// --- infer_step_batched vs infer_step ------------------------------------
+// --- infer_step_batched vs the training path -----------------------------
 
 TEST(BatchedInference, MatchesReferenceStepPath) {
   Rng rng(50);
@@ -30,30 +30,26 @@ TEST(BatchedInference, MatchesReferenceStepPath) {
   cfg.n_layers = 2;
   TransformerLM model(cfg, rng);
 
-  // Three sequences of different content stepped together; each must see
-  // the logits the single-sequence path produces for it alone.
+  // Three sequences of different content stepped together; each row must
+  // see the logits forward() produces for that sequence alone.
   const std::vector<std::vector<int>> seqs{
       {2, 7, 11, 3, 19}, {5, 5, 5, 5, 5}, {21, 2, 13, 17, 8}};
-  std::vector<TransformerLM::Cache> ref_caches;
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    ref_caches.push_back(model.make_cache());
+  std::vector<tensor::Tensor> ref;
+  for (const auto& s : seqs) {
+    ref.push_back(model.forward(s, 1, static_cast<int>(s.size()), false));
   }
   auto bcache = model.make_batched_cache(static_cast<int>(seqs.size()));
 
-  std::vector<float> ref_logits;
   std::vector<float> batched_logits;
   const std::vector<int> slots{0, 1, 2};
+  const auto V = static_cast<std::size_t>(cfg.vocab);
   for (std::size_t t = 0; t < seqs[0].size(); ++t) {
     std::vector<int> tokens;
     for (const auto& s : seqs) tokens.push_back(s[t]);
     model.infer_step_batched(bcache, slots, tokens, batched_logits);
     for (std::size_t i = 0; i < seqs.size(); ++i) {
-      model.infer_step(ref_caches[i], seqs[i][t], ref_logits);
-      for (int v = 0; v < cfg.vocab; ++v) {
-        EXPECT_FLOAT_EQ(
-            ref_logits[static_cast<std::size_t>(v)],
-            batched_logits[i * static_cast<std::size_t>(cfg.vocab) +
-                           static_cast<std::size_t>(v)])
+      for (std::size_t v = 0; v < V; ++v) {
+        EXPECT_NEAR(ref[i].data()[t * V + v], batched_logits[i * V + v], 1e-4f)
             << "seq=" << i << " t=" << t << " v=" << v;
       }
     }
@@ -104,7 +100,7 @@ TEST(BatchedInference, SlotRecycleStartsClean) {
   for (std::size_t v = 0; v < a.size(); ++v) EXPECT_EQ(a[v], b[v]);
 }
 
-// --- BatchedDecoder vs reference path ------------------------------------
+// --- BatchedDecoder across widths ------------------------------------------
 
 void expect_same_results(const std::vector<SampleResult>& a,
                          const std::vector<SampleResult>& b,
@@ -133,12 +129,15 @@ TEST(BatchedDecoder, TokenIdenticalToReferenceAcrossWidths) {
 
   constexpr int kN = 23;
   constexpr std::uint64_t kSeed = 4242;
+  // The reference is a width-1 decode run inline: one sequence per step.
+  set_num_threads(1);
+  BatchedDecoder solo(model, tok, 1, opts);
   Rng ref_rng(kSeed);
-  const auto ref = sample_batch_reference(model, tok, ref_rng, kN, opts);
+  const auto ref = solo.decode(ref_rng, kN);
+  set_num_threads(0);
 
-  // Width 17 with 23 requests forces mid-stream slot refills; width 1 is
-  // the engine degenerate case.
-  for (const int width : {1, 4, 17}) {
+  // Width 17 with 23 requests forces mid-stream slot refills.
+  for (const int width : {4, 17}) {
     BatchedDecoder decoder(model, tok, width, opts);
     Rng brng(kSeed);
     const auto got = decoder.decode(brng, kN);
@@ -150,7 +149,6 @@ TEST(BatchedDecoder, EquivalenceHoldsWithPoolWorkers) {
   // Same contract with the thread pool actually running workers (the
   // gemm row-partition must not change row values). Run this test under
   // EVA_SANITIZE=thread to validate the engine data-race-free.
-  set_num_threads(4);
   Rng rng(54);
   const Tokenizer tok = small_tokenizer();
   TransformerLM model(ModelConfig::bench_scale(tok.vocab_size()), rng);
@@ -160,7 +158,10 @@ TEST(BatchedDecoder, EquivalenceHoldsWithPoolWorkers) {
   opts.max_len = 48;
 
   Rng r1(99), r2(99);
-  const auto ref = sample_batch_reference(model, tok, r1, 9, opts);
+  set_num_threads(1);
+  BatchedDecoder solo(model, tok, 1, opts);
+  const auto ref = solo.decode(r1, 9);
+  set_num_threads(4);
   BatchedDecoder decoder(model, tok, 4, opts);
   const auto got = decoder.decode(r2, 9);
   set_num_threads(0);
@@ -191,8 +192,9 @@ TEST(SampleResult, LogprobCountMatchesAcceptedActions) {
   opts.max_len = 20;  // small cap: exercises EOS, closure, and cap endings
   Rng srng(57);
   int eos_seen = 0, cap_seen = 0;
-  for (int i = 0; i < 40; ++i) {
-    const auto res = sample_sequence(model, tok, srng, opts);
+  const auto results = sample_batch(model, tok, srng, 40, opts);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& res = results[i];
     EXPECT_EQ(res.logprobs.size(),
               res.ids.size() - 1 + (res.hit_eos ? 1u : 0u))
         << "i=" << i;
@@ -216,8 +218,9 @@ TEST(SampleResult, InvariantHoldsWithoutLegalityMask) {
   opts.max_len = 24;
   opts.temperature = 1.5f;  // widen the distribution to reach specials
   Rng srng(59);
-  for (int i = 0; i < 60; ++i) {
-    const auto res = sample_sequence(model, tok, srng, opts);
+  const auto results = sample_batch(model, tok, srng, 60, opts);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& res = results[i];
     EXPECT_EQ(res.logprobs.size(),
               res.ids.size() - 1 + (res.hit_eos ? 1u : 0u))
         << "i=" << i;

@@ -1,5 +1,5 @@
-// Tests for the neural stack: tokenizer, transformer (training and
-// KV-cache inference paths must agree), sampler, LM pretraining.
+// Tests for the neural stack: tokenizer, transformer (the KV-cache decode
+// step must agree with the training path), sampler, LM pretraining.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -128,23 +128,51 @@ TEST(Transformer, CausalityFutureTokensDontChangePast) {
 }
 
 TEST(Transformer, KvCacheMatchesTrainingPath) {
-  Rng rng(6);
-  ModelConfig cfg = ModelConfig::tiny(24);
-  cfg.n_layers = 2;  // exercise multi-layer cache
-  TransformerLM model(cfg, rng);
-  const std::vector<int> tokens{2, 7, 11, 3, 19};
-  const int T = static_cast<int>(tokens.size());
-  const auto logits = model.forward(tokens, 1, T, false);
-
-  auto cache = model.make_cache();
-  std::vector<float> step_logits;
-  for (int t = 0; t < T; ++t) {
-    model.infer_step(cache, tokens[static_cast<std::size_t>(t)], step_logits);
-    for (int v = 0; v < cfg.vocab; ++v) {
-      EXPECT_NEAR(step_logits[static_cast<std::size_t>(v)],
-                  logits.data()[static_cast<std::size_t>(t * cfg.vocab + v)],
-                  2e-3f)
-          << "t=" << t << " v=" << v;
+  // The decode step against the training path. Slots join a 3-slot
+  // cohort at different steps, so most steps mix rows at different
+  // positions; each row must reproduce forward()'s logits at its own
+  // position. The second config has d_ff > 256, so the MLP
+  // down-projection reduces over two gemm K-panels.
+  ModelConfig deep = ModelConfig::tiny(24);
+  deep.n_layers = 2;
+  const ModelConfig wide{24, 64, 2, 2, 320, 32, 0.0f};
+  for (const ModelConfig& cfg : {deep, wide}) {
+    Rng rng(6);
+    TransformerLM model(cfg, rng);
+    const std::vector<std::vector<int>> seqs{
+        {2, 7, 11, 3, 19, 4}, {5, 5, 5, 5}, {21, 2, 13, 17, 8}};
+    const std::vector<int> join{0, 2, 1};  // step at which each slot starts
+    std::vector<tensor::Tensor> ref;
+    for (const auto& s : seqs) {
+      ref.push_back(model.forward(s, 1, static_cast<int>(s.size()), false));
+    }
+    auto cache = model.make_batched_cache(3);
+    const auto V = static_cast<std::size_t>(cfg.vocab);
+    std::vector<float> logits;
+    for (int step = 0;; ++step) {
+      std::vector<int> slots, tokens, pos;
+      for (int i = 0; i < 3; ++i) {
+        const auto& s = seqs[static_cast<std::size_t>(i)];
+        const int p = step - join[static_cast<std::size_t>(i)];
+        if (p < 0 || p >= static_cast<int>(s.size())) continue;
+        slots.push_back(i);
+        tokens.push_back(s[static_cast<std::size_t>(p)]);
+        pos.push_back(p);
+      }
+      if (slots.empty()) break;
+      model.infer_step_batched(cache, slots, tokens, logits);
+      for (std::size_t r = 0; r < slots.size(); ++r) {
+        const auto want = ref[static_cast<std::size_t>(slots[r])].data();
+        for (std::size_t v = 0; v < V; ++v) {
+          EXPECT_NEAR(logits[r * V + v],
+                      want[static_cast<std::size_t>(pos[r]) * V + v], 1e-4f)
+              << "d_ff=" << cfg.d_ff << " step=" << step << " slot="
+              << slots[r] << " v=" << v;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      EXPECT_EQ(cache.len[i], static_cast<int>(seqs[i].size()));
     }
   }
 }
@@ -194,7 +222,7 @@ TEST(Sampler, StartsWithVssAndRespectsMaxLen) {
   SampleOptions opts;
   opts.max_len = 12;
   Rng srng(11);
-  const auto res = sample_sequence(model, tok, srng, opts);
+  const auto res = sample_batch(model, tok, srng, 1, opts).front();
   EXPECT_EQ(res.ids.front(), tok.start_token());
   EXPECT_LE(res.ids.size(), 12u);
   EXPECT_EQ(res.logprobs.size() >= res.ids.size() - 1, true);
@@ -206,9 +234,9 @@ TEST(Sampler, DeterministicGivenSeed) {
   const Tokenizer tok = small_tokenizer();
   TransformerLM model(ModelConfig::tiny(tok.vocab_size()), rng);
   Rng s1(77), s2(77);
-  const auto a = sample_sequence(model, tok, s1);
-  const auto b = sample_sequence(model, tok, s2);
-  EXPECT_EQ(a.ids, b.ids);
+  const auto a = sample_batch(model, tok, s1, 3);
+  const auto b = sample_batch(model, tok, s2, 3);
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].ids, b[i].ids);
 }
 
 TEST(Sampler, BatchProducesRequestedCount) {
@@ -234,9 +262,9 @@ TEST(Sampler, TopKRestrictsSupport) {
   opts.max_len = 10;
   Rng s1(5), s2(99);
   // Greedy sampling is seed-independent.
-  const auto a = sample_sequence(model, tok, s1, opts);
-  const auto b = sample_sequence(model, tok, s2, opts);
-  EXPECT_EQ(a.ids, b.ids);
+  const auto a = sample_batch(model, tok, s1, 3, opts);
+  const auto b = sample_batch(model, tok, s2, 3, opts);
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].ids, b[i].ids);
 }
 
 TEST(Sampler, IdsToNetlistRejectsGarbage) {

@@ -177,6 +177,47 @@ TEST(Service, SeededResubmissionHitsCanonicalCache) {
   }
 }
 
+TEST(Service, VerdictUsesConfiguredSimOptions) {
+  // The verdict must be judged under cfg.sim, the options the FoM is
+  // extracted under. First find a request with real DC work under
+  // default options (on x86-64 builds weight seed 99 + request seed 1364
+  // on the bench-scale f32 model gives 4 simulatable candidates of 8;
+  // the scan keeps the test meaningful where float results differ).
+  // Then cap Newton at zero iterations: no DC solve can converge, so no
+  // served item of that request may be valid.
+  const nn::Tokenizer tok = small_tokenizer();
+  const auto serve_valid = [&](const spice::SimOptions& sim,
+                               std::uint64_t seed) {
+    Rng rng(99);
+    nn::TransformerLM model(nn::ModelConfig::bench_scale(tok.vocab_size()),
+                            rng);
+    ServiceConfig cfg;
+    cfg.batch_width = 8;
+    cfg.sample.temperature = 0.9f;
+    cfg.sample.top_k = 12;
+    cfg.sample.max_len = 32;
+    cfg.quant = tensor::QuantKind::kF32;
+    cfg.sim = sim;
+    GenerationService service(model, tok, cfg);
+    service.start();
+    Request req;
+    req.n = 8;
+    req.seed = seed;
+    req.temperature = 0.9f;
+    const Response resp = service.submit(req).response.get();
+    EXPECT_EQ(resp.status, Status::kOk);
+    int valid = 0;
+    for (const auto& item : resp.items) valid += item.valid ? 1 : 0;
+    return valid;
+  };
+  std::uint64_t seed = 1364;
+  while (seed < 1364 + 32 && serve_valid({}, seed) == 0) ++seed;
+  ASSERT_LT(seed, 1364u + 32) << "no request reached a converged DC solve";
+  spice::SimOptions no_dc;
+  no_dc.max_newton_iter = 0;
+  EXPECT_EQ(serve_valid(no_dc, seed), 0) << "request seed " << seed;
+}
+
 TEST(Service, ConcurrentSubmitsFromPoolWorkers) {
   ServiceConfig cfg = fast_config();
   cfg.queue_max = 256;
@@ -487,10 +528,10 @@ TEST(Stats, SnapshotIsWellFormedAndCoversTheService) {
                                                  << json;
   }
   // Live service state: queue depths, occupancy, cache and request
-  // counters, backend dispatch counts.
+  // counters, the weight tier.
   for (const char* key :
        {"\"queue_depth\"", "\"batch_occupancy\"", "\"cache\"",
-        "\"hit_rate\"", "\"requests\"", "\"submitted\"", "\"backends\"",
+        "\"hit_rate\"", "\"requests\"", "\"submitted\"", "\"quant\"",
         "\"uptime_s\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing\n"
                                                  << json;

@@ -256,28 +256,6 @@ TEST(Gemm, KernelsAccumulateIntoC) {
     EXPECT_NEAR(twice[i], 2.0f * once[i] - 1.0f, 1e-3f);
 }
 
-TEST(Gemm, GemvMatchesGemmRow) {
-  Rng rng(101);
-  for (std::size_t in : {1u, 7u, 64u, 130u}) {
-    for (std::size_t out : {1u, 9u, 64u, 200u}) {
-      const auto x = random_mat(1, in, rng);
-      const auto w = random_mat(in, out, rng);
-      const auto b = random_mat(1, out, rng);
-      std::vector<float> ref(out, 0.0f), y(out, -1.0f);
-      for (std::size_t k = 0; k < in; ++k)
-        for (std::size_t j = 0; j < out; ++j) ref[j] += x[k] * w[k * out + j];
-      gemv(x.data(), w.data(), nullptr, y.data(), in, out);
-      for (std::size_t j = 0; j < out; ++j)
-        ASSERT_NEAR(y[j], ref[j], 1e-4f * static_cast<float>(in) + 1e-5f)
-            << "in=" << in << " out=" << out << " @" << j;
-      gemv(x.data(), w.data(), b.data(), y.data(), in, out);
-      for (std::size_t j = 0; j < out; ++j)
-        ASSERT_NEAR(y[j], ref[j] + b[j], 1e-4f * static_cast<float>(in) + 1e-5f)
-            << "bias in=" << in << " out=" << out << " @" << j;
-    }
-  }
-}
-
 std::vector<float> transposed(const std::vector<float>& m, std::size_t rows,
                               std::size_t cols) {
   std::vector<float> t(m.size());
