@@ -18,12 +18,12 @@ namespace {
 
 /// Sample from logits with temperature and optional top-k; returns the
 /// token id and its log-probability under the *sampling* distribution.
-/// `scratch` is caller-owned top-k workspace reused across the whole
-/// sampled sequence (one allocation per sequence instead of one V-sized
-/// vector per token).
+/// `scratch` is the caller-owned workspace reused across the whole
+/// sampled sequence (no V-sized allocation per token); each exp is
+/// computed once into it and read by both the normalizer and the scan.
 std::pair<int, float> sample_from_logits(std::span<float> logits, Rng& rng,
                                          float temperature, int top_k,
-                                         std::vector<float>& scratch) {
+                                         SampleScratch& scratch) {
   const int V = static_cast<int>(logits.size());
   const float invt = 1.0f / std::max(temperature, 1e-4f);
   for (auto& l : logits) l *= invt;
@@ -31,10 +31,10 @@ std::pair<int, float> sample_from_logits(std::span<float> logits, Rng& rng,
   if (top_k > 0 && top_k < V) {
     // Mask everything below the k-th largest logit. nth_element runs on
     // the scratch copy so the original order survives for masking.
-    scratch.assign(logits.begin(), logits.end());
-    std::nth_element(scratch.begin(), scratch.begin() + (top_k - 1),
-                     scratch.end(), std::greater<float>());
-    const float kth = scratch[static_cast<std::size_t>(top_k - 1)];
+    scratch.topk.assign(logits.begin(), logits.end());
+    std::nth_element(scratch.topk.begin(), scratch.topk.begin() + (top_k - 1),
+                     scratch.topk.end(), std::greater<float>());
+    const float kth = scratch.topk[static_cast<std::size_t>(top_k - 1)];
     for (auto& l : logits) {
       if (l < kth) l = -1e30f;
     }
@@ -42,13 +42,18 @@ std::pair<int, float> sample_from_logits(std::span<float> logits, Rng& rng,
 
   float mx = -1e30f;
   for (float l : logits) mx = std::max(mx, l);
+  auto& e = scratch.exps;
+  e.resize(logits.size());
   double z = 0.0;
-  for (float l : logits) z += std::exp(static_cast<double>(l - mx));
+  for (std::size_t i = 0; i < logits.size(); ++i) {
+    e[i] = std::exp(static_cast<double>(logits[i] - mx));
+    z += e[i];
+  }
   const double u = rng.uniform() * z;
   double acc = 0.0;
   int pick = V - 1;
   for (int i = 0; i < V; ++i) {
-    acc += std::exp(static_cast<double>(logits[static_cast<std::size_t>(i)] - mx));
+    acc += e[static_cast<std::size_t>(i)];
     if (acc >= u) {
       pick = i;
       break;
@@ -415,12 +420,12 @@ class WalkLegality {
 /// Decode-time state of one in-flight sequence (BatchedDecoder holds one
 /// per occupied slot): the per-step sampling and legality decisions.
 struct SeqState {
-  /// `scratch` is the caller-owned top-k workspace; BatchedDecoder hands
+  /// `scratch` is the caller-owned sampling workspace; BatchedDecoder hands
   /// each slot its own buffer, reused across every sequence that passes
   /// through that slot (continuous batching never re-allocates it).
   SeqState(const Tokenizer& tok, const SampleOptions& opts, Rng* rng_in,
-           int max_len_in, int seq_in, std::vector<float>* scratch)
-      : legality(tok), topk_scratch(scratch), rng(rng_in), max_len(max_len_in),
+           int max_len_in, int seq_in, SampleScratch* scratch_in)
+      : legality(tok), scratch(scratch_in), rng(rng_in), max_len(max_len_in),
         seq(seq_in) {
     token = tok.start_token();
     res.ids.push_back(token);
@@ -450,7 +455,7 @@ struct SeqState {
       for (int tries = 0; tries < 8; ++tries) {
         const auto pick = sample_from_logits(
             logits, *rng, tries == 0 ? opts.temperature : 1.0f,
-            tries == 0 ? opts.top_k : 0, *topk_scratch);
+            tries == 0 ? opts.top_k : 0, *scratch);
         next = pick.first;
         logp = pick.second;
         if (!legality.illegal_transition(next, tok.start_token(), vdd)) break;
@@ -458,7 +463,7 @@ struct SeqState {
       }
     } else {
       const auto pick = sample_from_logits(logits, *rng, opts.temperature,
-                                           opts.top_k, *topk_scratch);
+                                           opts.top_k, *scratch);
       next = pick.first;
       logp = pick.second;
     }
@@ -483,7 +488,7 @@ struct SeqState {
 
   SampleResult res;
   WalkLegality legality;
-  std::vector<float>* topk_scratch;
+  SampleScratch* scratch;
   Rng* rng;
   int token = 0;
   int t = 1;        // next decode-step index

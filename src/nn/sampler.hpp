@@ -52,6 +52,15 @@ struct SampleResult {
   bool hit_eos = false;
 };
 
+/// Per-slot sampling workspace, reused across every token a decode slot
+/// draws: a copy of the logits for the top-k selection, and each draw's
+/// exp(logit - max) in double, shared by the normalizer and the
+/// inverse-CDF scan.
+struct SampleScratch {
+  std::vector<float> topk;
+  std::vector<double> exps;
+};
+
 /// Sample `n` sequences through a BatchedDecoder of width
 /// min(opts.batch_width, n) (EVA_BATCH_WIDTH overrides). Deterministic
 /// given the seed rng; sequence i consumes the i-th fork of `rng`.
@@ -108,9 +117,9 @@ class BatchedDecoder {
   TransformerLM::BatchedCache cache_;
   // Step scratch, reused across decode() calls (a long-lived decoder
   // serving many batches never re-allocates per step): the per-slot
-  // top-k buffers handed to each in-flight sequence, and the step's
+  // sampling buffers handed to each in-flight sequence, and the step's
   // slot/token/logits staging.
-  std::vector<std::vector<float>> slot_scratch_;
+  std::vector<SampleScratch> slot_scratch_;
   std::vector<int> slot_ids_, tokens_;
   std::vector<float> logits_;
   DecodeStats stats_;

@@ -214,44 +214,85 @@ void embed_row(std::span<const float> te, std::span<const float> pe, int token,
   }
 }
 
+/// Independent partial sums in the attention reductions: a kLanes array
+/// the compiler keeps in vector registers, combined in a fixed order, so
+/// a result depends only on the lengths.
+constexpr int kLanes = 16;
+
+float sum_lanes(const float (&acc)[kLanes]) {
+  float s = 0.0f;
+  for (float a : acc) s += a;
+  return s;
+}
+
+/// a . b over n floats.
+float dot(const float* a, const float* b, int n) {
+  float acc[kLanes] = {};
+  int i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (int j = 0; j < kLanes; ++j) acc[j] += a[i + j] * b[i + j];
+  }
+  float s = sum_lanes(acc);
+  for (; i < n; ++i) s += a[i] * b[i];
+  return s;
+}
+
 /// Causal attention for one query row over T cached positions. `kbase` /
 /// `vbase` point at position 0 of the slot's cache (positions are C
-/// floats apart, head-major within a position).
+/// floats apart, head-major within a position); `p` is a workspace of at
+/// least T floats.
 ///
-/// Single pass: QK^T, softmax and the V reduction run fused over the
-/// cached positions with an online max/normalizer (accumulator rescaled
-/// by exp(m_old - m_new) whenever the running max moves), so no score
-/// vector is ever materialized and each K/V position is touched exactly
-/// once per head.
+/// Per head, over the row-major slabs: the scaled scores q.k_t go to
+/// `p`; their max, exp_approx and the normalizer run over `p` as flat
+/// vector loops (the max is not folded into the score loop: that
+/// measured slower); then the context accumulates kLanes dims at a
+/// time across all positions, so each strip of the context stays in a
+/// register while V streams past.
 void attend_row(const float* q, const float* kbase, const float* vbase, int T,
-                int C, int H, int hd, float* ctx) {
+                int C, int H, int hd, float* p, float* ctx) {
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  const auto Cz = static_cast<std::size_t>(C);
   for (int head = 0; head < H; ++head) {
     const int off = head * hd;
-    float m = -1e30f;
-    float z = 0.0f;
-    for (int i = 0; i < hd; ++i) ctx[off + i] = 0.0f;
+    const float* qh = q + off;
     for (int t = 0; t < T; ++t) {
-      const std::size_t tc =
-          static_cast<std::size_t>(t) * static_cast<std::size_t>(C) +
-          static_cast<std::size_t>(off);
-      const float* kt = kbase + tc;
-      float s = 0;
-      for (int i = 0; i < hd; ++i) s += q[off + i] * kt[i];
-      s *= scale;
-      if (s > m) {
-        const float corr = std::exp(m - s);
-        z *= corr;
-        for (int i = 0; i < hd; ++i) ctx[off + i] *= corr;
-        m = s;
-      }
-      const float p = std::exp(s - m);
-      z += p;
-      const float* vt = vbase + tc;
-      for (int i = 0; i < hd; ++i) ctx[off + i] += p * vt[i];
+      p[t] = dot(qh, kbase + static_cast<std::size_t>(t) * Cz + off, hd) *
+             scale;
     }
+    float mx[kLanes];
+    std::fill_n(mx, kLanes, p[0]);
+    int t = 0;
+    for (; t + kLanes <= T; t += kLanes) {
+      for (int j = 0; j < kLanes; ++j) mx[j] = std::max(mx[j], p[t + j]);
+    }
+    float m = *std::max_element(mx, mx + kLanes);
+    for (; t < T; ++t) m = std::max(m, p[t]);
+    for (t = 0; t < T; ++t) p[t] = exp_approx(p[t] - m);
+    float zs[kLanes] = {};
+    for (t = 0; t + kLanes <= T; t += kLanes) {
+      for (int j = 0; j < kLanes; ++j) zs[j] += p[t + j];
+    }
+    float z = sum_lanes(zs);
+    for (; t < T; ++t) z += p[t];
     const float inv = 1.0f / z;
-    for (int i = 0; i < hd; ++i) ctx[off + i] *= inv;
+
+    const float* vh = vbase + off;
+    int i = 0;
+    for (; i + kLanes <= hd; i += kLanes) {
+      float acc[kLanes] = {};
+      for (t = 0; t < T; ++t) {
+        const float* vt = vh + static_cast<std::size_t>(t) * Cz + i;
+        for (int j = 0; j < kLanes; ++j) acc[j] += p[t] * vt[j];
+      }
+      for (int j = 0; j < kLanes; ++j) ctx[off + i + j] = acc[j] * inv;
+    }
+    for (; i < hd; ++i) {
+      float acc = 0.0f;
+      for (t = 0; t < T; ++t) {
+        acc += p[t] * vh[static_cast<std::size_t>(t) * Cz + i];
+      }
+      ctx[off + i] = acc * inv;
+    }
   }
 }
 
@@ -301,6 +342,8 @@ TransformerLM::BatchedCache TransformerLM::make_batched_cache(
     buf->reserve(cap * Cz);
   }
   c.ws.ff.reserve(cap * static_cast<std::size_t>(cfg_.d_ff));
+  // Attention runs one row at a time, so one score row serves them all.
+  c.ws.scores.resize(static_cast<std::size_t>(cfg_.max_seq));
   return c;
 }
 
@@ -330,6 +373,8 @@ void TransformerLM::infer_step_batched(BatchedCache& cache,
   EVA_REQUIRE(!cache.k.empty() && is_kernel_aligned(cache.k[0].data()) &&
                   is_kernel_aligned(cache.v[0].data()),
               "infer_step_batched: cache slabs must be 64-byte aligned");
+  EVA_REQUIRE(cache.ws.scores.size() >= static_cast<std::size_t>(cfg_.max_seq),
+              "infer_step_batched: score workspace smaller than max_seq");
 
   auto& ws = cache.ws;
   ws.x.resize(n * Cz);
@@ -387,7 +432,7 @@ void TransformerLM::infer_step_batched(BatchedCache& cache,
       attend_row(ws.q.data() + i * Cz, cache.k[l].data() + base,
                  cache.v[l].data() + base,
                  cache.len[static_cast<std::size_t>(s)] + 1, C, H, hd,
-                 ws.ctx.data() + i * Cz);
+                 ws.scores.data(), ws.ctx.data() + i * Cz);
     }
     linear_batched(ws.ctx.data(), qb ? &qb->wo : nullptr, blk.wo.data(),
                    blk.bo.data(), ws.att.data(), n, C, C, Epilogue::kBias);

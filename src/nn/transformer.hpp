@@ -97,9 +97,10 @@ class TransformerLM {
 
     // Step workspace, sized for `capacity` rows up front and reused
     // across infer_step_batched calls (the decode loop never allocates
-    // after the cache is built).
+    // after the cache is built). `scores` is one attention row: max_seq
+    // floats of per-position scores, then probabilities.
     struct Workspace {
-      AlignedVec<float> x, h, q, kv, ctx, att, ff;
+      AlignedVec<float> x, h, q, kv, ctx, att, ff, scores;
     };
     Workspace ws;
   };

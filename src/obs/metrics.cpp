@@ -209,25 +209,6 @@ SlidingHistogram& sliding_histogram(std::string_view name) {
   return lookup(r.sliding, r.mu, name);
 }
 
-std::vector<std::pair<std::string, std::int64_t>> counters_with_prefix(
-    std::string_view prefix) {
-  Registry& r = registry();
-  std::vector<std::pair<std::string, const Counter*>> view;
-  {
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (const auto& [name, c] : r.counters) {
-      if (name.size() >= prefix.size() &&
-          std::string_view(name).substr(0, prefix.size()) == prefix) {
-        view.emplace_back(name, c.get());
-      }
-    }
-  }
-  std::vector<std::pair<std::string, std::int64_t>> out;
-  out.reserve(view.size());
-  for (const auto& [name, c] : view) out.emplace_back(name, c->value());
-  return out;
-}
-
 namespace {
 
 void snapshot_into(std::string& out, const HistogramSnapshot& s) {

@@ -3,6 +3,7 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -178,10 +179,12 @@ void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
 // point 128) and accumulates exact int32 dot products with vpdpbusd
 // (4 MACs/lane/instruction); bf16 rounds the activation row to bf16
 // pairs and drives vdpbf16ps (2 MACs/lane/instruction). Both read the
-// K-grouped packed payloads built at quantize() time. Elsewhere a
-// portable fallback dequantizes panels and reuses the f32 micro-kernel
-// (f32 activations — cross-platform results differ, within the same
-// documented tolerance vs f32).
+// K-grouped packed payloads built at quantize() time. Elsewhere the
+// portable int8 fallback quantizes activations the same way and sums
+// the same exact int32 dot products in scalar code, so non-finite
+// activations are handled alike on every build; portable bf16 decodes
+// panels and reuses the f32 micro-kernel on f32 activations (results
+// differ across platforms, within the same documented tolerance vs f32).
 //
 // Determinism contract shared by every path: the work a given output
 // element (row r, column j) sees — activation quantization of row r,
@@ -220,34 +223,31 @@ std::size_t qmin_strips(std::size_t n, std::size_t ksteps, std::size_t width) {
 
 #ifndef EVA_QKERNELS_AVX512
 
-/// Quantize one activation row to u8 with zero point 128, padding to K4
-/// (the vpdpbusd group-of-4 bound; padded lanes multiply zero weights).
+/// Quantize one activation row to u8 with zero point 128 (the AVX-512
+/// variant below computes the same codes, padded to its group-of-4 bound).
 /// Returns the row scale; all-zero / non-finite rows get scale 0, which
 /// annihilates the output in the epilogue.
-inline float quantize_row_u8(const float* x, std::size_t K, std::size_t K4,
-                             std::uint8_t* xu) {
+inline float quantize_row_u8(const float* x, std::size_t K, std::uint8_t* xu) {
   float amax = 0.0f;
   for (std::size_t k = 0; k < K; ++k) amax = std::max(amax, std::fabs(x[k]));
   if (!(amax > 0.0f) || !std::isfinite(amax)) {
-    std::fill_n(xu, K4, std::uint8_t{128});
+    std::fill_n(xu, K, std::uint8_t{128});
     return 0.0f;
   }
   const float inv = 127.0f / amax;
   for (std::size_t k = 0; k < K; ++k) {
     // NaN elements slip past the amax reduction (std::max discards NaN),
     // so guard the cast: non-finite q maps to -127, the value cvtps2dq +
-    // clamp produces in the AVX-512 kernels, keeping builds in agreement.
+    // clamp produces in the AVX-512 kernel, keeping builds in agreement.
     const float q = std::clamp(std::nearbyint(x[k] * inv), -127.0f, 127.0f);
     const int qi = std::isfinite(q) ? static_cast<int>(q) : -127;
     xu[k] = static_cast<std::uint8_t>(qi + 128);
   }
-  std::fill(xu + K, xu + K4, std::uint8_t{128});
   return amax / 127.0f;
 }
 
 /// int8 epilogue: undo the zero point (128 * colsum), apply the two
-/// scales, then bias/GELU. Shared by full strips, ragged tails and the
-/// 8-row tile path, so all produce bit-identical values per column.
+/// scales, then bias/GELU — the arithmetic of the AVX-512 store_strip_i8.
 __attribute__((noinline)) void store_strip_i8(const std::int32_t* acc, float ascale,
                            const float* wscale, const std::int32_t* colsum,
                            const float* bias, Epilogue ep, float* y,
@@ -257,23 +257,25 @@ __attribute__((noinline)) void store_strip_i8(const std::int32_t* acc, float asc
     float v = ascale *
               (wscale[j] * static_cast<float>(acc[j] - 128 * colsum[j]));
     if (add_bias) v += bias[j];
-    if (ep == Epilogue::kBiasGelu) v = gelu_approx(v);
     y[j] = v;
+  }
+  if (ep == Epilogue::kBiasGelu) {
+    for (std::size_t j = 0; j < nr; ++j) y[j] = gelu_approx(y[j]);
   }
 }
 
-/// f32-accumulator epilogue (bf16 and the portable fallback). `wscale`
-/// is null except for the fallback int8 path, where the raw x.q dot
-/// still needs the per-column rescale.
-__attribute__((noinline)) void store_strip_f32(const float* acc, const float* wscale,
-                            const float* bias, Epilogue ep, float* y,
-                            std::size_t nr) {
+/// f32-accumulator epilogue of the portable bf16 path.
+__attribute__((noinline)) void store_strip_f32(const float* acc, const float* bias,
+                                               Epilogue ep, float* y,
+                                               std::size_t nr) {
   const bool add_bias = ep != Epilogue::kNone && bias != nullptr;
   for (std::size_t j = 0; j < nr; ++j) {
-    float v = wscale != nullptr ? wscale[j] * acc[j] : acc[j];
+    float v = acc[j];
     if (add_bias) v += bias[j];
-    if (ep == Epilogue::kBiasGelu) v = gelu_approx(v);
     y[j] = v;
+  }
+  if (ep == Epilogue::kBiasGelu) {
+    for (std::size_t j = 0; j < nr; ++j) y[j] = gelu_approx(y[j]);
   }
 }
 
@@ -286,9 +288,10 @@ inline std::uint32_t load_u32(const void* p) {
 }
 
 /// Vectorized u8 activation quantization (see the scalar variant above
-/// for the contract). vcvtps2dq under default MXCSR is round-to-
-/// nearest-even, the same rounding as the scalar nearbyint, so the
-/// 16-lane body and the scalar tail agree element for element; the
+/// for the contract), padding to K4 (the vpdpbusd group-of-4 bound;
+/// padded lanes multiply zero weights). vcvtps2dq under default MXCSR is
+/// round-to-nearest-even, the same rounding as the scalar nearbyint, so
+/// the 16-lane body and the scalar tail agree element for element; the
 /// split point depends only on K, never on the batch, preserving
 /// width-invariance.
 inline float quantize_row_u8(const float* x, std::size_t K, std::size_t K4,
@@ -332,8 +335,8 @@ inline float quantize_row_u8(const float* x, std::size_t K, std::size_t K4,
 /// int8 epilogue, vectorized: identical arithmetic and association as
 /// the scalar tail (`ascale * (wscale * float(acc - 128*colsum))`,
 /// then bias) — every op is elementwise, so lanes match scalar IEEE
-/// exactly. GELU runs as a second scalar pass over the stored strip
-/// (same input values, same gelu_approx).
+/// exactly. GELU runs as a second pass over the stored strip through
+/// gelu_approx, which is branch-free, so that loop vectorizes too.
 __attribute__((noinline)) void store_strip_i8(const std::int32_t* acc, float ascale,
                            const float* wscale, const std::int32_t* colsum,
                            const float* bias, Epilogue ep, float* y,
@@ -362,21 +365,18 @@ __attribute__((noinline)) void store_strip_i8(const std::int32_t* acc, float asc
 }
 
 /// f32-accumulator epilogue (bf16 path), vectorized like the int8 one.
-/// `wscale` is unused on this platform (no fallback rescale) but kept
-/// for signature parity with the portable build.
-__attribute__((noinline)) void store_strip_f32(const float* acc, const float* wscale,
-                            const float* bias, Epilogue ep, float* y,
-                            std::size_t nr) {
+__attribute__((noinline)) void store_strip_f32(const float* acc, const float* bias,
+                                               Epilogue ep, float* y,
+                                               std::size_t nr) {
   const bool add_bias = ep != Epilogue::kNone && bias != nullptr;
   std::size_t j = 0;
   for (; j + 16 <= nr; j += 16) {
     __m512 v = _mm512_load_ps(acc + j);
-    if (wscale != nullptr) v = _mm512_mul_ps(_mm512_loadu_ps(wscale + j), v);
     if (add_bias) v = _mm512_add_ps(v, _mm512_loadu_ps(bias + j));
     _mm512_storeu_ps(y + j, v);
   }
   for (; j < nr; ++j) {
-    float v = wscale != nullptr ? wscale[j] * acc[j] : acc[j];
+    float v = acc[j];
     if (add_bias) v += bias[j];
     y[j] = v;
   }
@@ -469,25 +469,16 @@ inline void qtile_bf16(const std::uint32_t* xb, std::size_t xstride,
 
 #ifndef EVA_QKERNELS_AVX512
 
-/// Portable fallback: decode one kc x nr weight panel to raw f32 codes
+/// Portable bf16 fallback: decode one kc x nr weight panel to f32
 /// (leading dimension kNr) so the register-tiled micro-kernel can run
-/// unmodified on top; the int8 per-column rescale happens once in the
-/// epilogue.
-void decode_panel(const QuantMatrix& W, std::size_t kb, std::size_t kc,
-                  std::size_t nb, std::size_t nr, float* panel) {
+/// unmodified on top.
+void decode_panel_bf16(const QuantMatrix& W, std::size_t kb, std::size_t kc,
+                       std::size_t nb, std::size_t nr, float* panel) {
   const std::size_t N = W.cols;
-  if (W.kind == QuantKind::kBf16) {
-    for (std::size_t k = 0; k < kc; ++k) {
-      const std::uint16_t* src = W.bf16.data() + (kb + k) * N + nb;
-      float* dst = panel + k * kNr;
-      for (std::size_t j = 0; j < nr; ++j) dst[j] = bf16_to_f32(src[j]);
-    }
-    return;
-  }
   for (std::size_t k = 0; k < kc; ++k) {
-    const std::int8_t* src = W.q8.data() + (kb + k) * N + nb;
+    const std::uint16_t* src = W.bf16.data() + (kb + k) * N + nb;
     float* dst = panel + k * kNr;
-    for (std::size_t j = 0; j < nr; ++j) dst[j] = static_cast<float>(src[j]);
+    for (std::size_t j = 0; j < nr; ++j) dst[j] = bf16_to_f32(src[j]);
   }
 }
 
@@ -572,18 +563,57 @@ void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
           for (; m + kMr <= n; m += kMr) {
             qtile_bf16<8>(xb_p + m * kp, kp, kp, wp, Np * 2, acc);
             for (std::size_t r = 0; r < kMr; ++r) {
-              store_strip_f32(acc + r * kQNr, nullptr, bp, ep,
-                              Y + (m + r) * N + nb, nr);
+              store_strip_f32(acc + r * kQNr, bp, ep, Y + (m + r) * N + nb,
+                              nr);
             }
           }
           for (; m < n; ++m) {
             qtile_bf16<1>(xb_p + m * kp, kp, kp, wp, Np * 2, acc);
-            store_strip_f32(acc, nullptr, bp, ep, Y + m * N + nb, nr);
+            store_strip_f32(acc, bp, ep, Y + m * N + nb, nr);
           }
         }
       },
       qmin_strips(n, kp, kQNr));
 #else   // !EVA_QKERNELS_AVX512
+  if (W.kind == QuantKind::kInt8) {
+    // Same activation codes and int32 accumulator as the AVX-512 kernel
+    // (the sum is exact, so its order does not matter), one strip of
+    // kQNr columns per row from the row-major q8 codes.
+    static thread_local std::vector<std::uint8_t> xu;
+    static thread_local std::vector<float> ascale;
+    xu.resize(n * K);
+    ascale.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      ascale[r] = quantize_row_u8(X + r * K, K, xu.data() + r * K);
+    }
+    // Snapshot the thread_local scratch as in the AVX-512 path.
+    const std::uint8_t* xu_p = xu.data();
+    const float* as_p = ascale.data();
+    parallel_chunks(
+        0, (N + kQNr - 1) / kQNr,
+        [&](std::size_t s0, std::size_t s1) {
+          std::int32_t acc[kQNr];
+          for (std::size_t s = s0; s < s1; ++s) {
+            const std::size_t nb = s * kQNr;
+            const std::size_t nr = std::min(kQNr, N - nb);
+            for (std::size_t m = 0; m < n; ++m) {
+              const std::uint8_t* xr = xu_p + m * K;
+              std::fill_n(acc, nr, 0);
+              for (std::size_t k = 0; k < K; ++k) {
+                const std::int32_t a = xr[k];
+                const std::int8_t* wk = W.q8.data() + k * N + nb;
+                for (std::size_t j = 0; j < nr; ++j) acc[j] += a * wk[j];
+              }
+              store_strip_i8(acc, as_p[m], W.scale.data() + nb,
+                             W.colsum.data() + nb,
+                             bias != nullptr ? bias + nb : nullptr, ep,
+                             Y + m * N + nb, nr);
+            }
+          }
+        },
+        qmin_strips(n, K, kQNr));
+    return;
+  }
   parallel_chunks(
       0, N,
       [&](std::size_t n0, std::size_t n1) {
@@ -596,19 +626,17 @@ void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
           }
           for (std::size_t kb = 0; kb < K; kb += kKc) {
             const std::size_t kc = std::min(kKc, K - kb);
-            decode_panel(W, kb, kc, nb, nr, panel.data());
+            decode_panel_bf16(W, kb, kc, nb, nr, panel.data());
             for (std::size_t m = 0; m < n; m += kMr) {
               const std::size_t mr = std::min(kMr, n - m);
               micro_kernel(kc, X + m * K + kb, K, 1, panel.data(), kNr,
                            Y + m * N + nb, N, mr, nr);
             }
           }
-          const float* ws =
-              W.kind == QuantKind::kInt8 ? W.scale.data() + nb : nullptr;
           for (std::size_t r = 0; r < n; ++r) {
             float* yrow = Y + r * N + nb;
-            store_strip_f32(yrow, ws, bias != nullptr ? bias + nb : nullptr,
-                            ep, yrow, nr);
+            store_strip_f32(yrow, bias != nullptr ? bias + nb : nullptr, ep,
+                            yrow, nr);
           }
         }
       },

@@ -35,7 +35,7 @@
 // contribute nothing to the reduction.
 #pragma once
 
-#include <cmath>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -121,11 +121,51 @@ struct QuantMatrix {
 /// tile is still hot, with no extra pass over Y).
 enum class Epilogue { kNone, kBias, kBiasGelu };
 
-/// The tanh-approximation GELU used across the inference path. Shared so
-/// the fused epilogue and the unfused f32 path are bitwise identical.
+/// exp(x) for the inference path, libm-free and branch-free so loops
+/// that call it vectorize. Cephes-style: x = n·ln2 + r with n =
+/// round(x·log2e) and |r| <= ln2/2 (ln2 split in two for an exact
+/// n·ln2), e^r from a degree-7 polynomial, 2^n written straight into the
+/// exponent field. The rounding adds 1.5·2^23, which leaves n in the low
+/// mantissa bits of the sum, so no float is ever converted to int (a NaN
+/// conversion would be UB). Relative error <= 2e-7 on [-87, 88]. Inputs
+/// are clamped to [ln(FLT_MIN), 88.376], so larger x saturates at
+/// ~2.4e38 (finite), smaller x at ~FLT_MIN, and NaN stays NaN.
+[[nodiscard]] inline float exp_approx(float x) {
+  constexpr float kHi = 88.3762626647949f;
+  constexpr float kLo = -87.3365447505531f;
+  constexpr float kLog2e = 1.44269504088896341f;
+  constexpr float kLn2Hi = 0.693359375f;
+  constexpr float kLn2Lo = -2.12194440e-4f;
+  constexpr float kRound = 12582912.0f;  // 1.5 * 2^23
+  // Written so a NaN x fails both compares and passes through.
+  x = x > kHi ? kHi : x;
+  x = x < kLo ? kLo : x;
+  const float t = x * kLog2e + kRound;
+  const float n = t - kRound;
+  float r = x - n * kLn2Hi;
+  r = r - n * kLn2Lo;
+  float p = 1.9875691500e-4f;
+  p = p * r + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  p = p * (r * r) + r + 1.0f;
+  // The low bits of t hold n (two's complement around 0x4B400000).
+  const std::uint32_t e =
+      (std::bit_cast<std::uint32_t>(t) - 0x4B400000u + 127u) << 23;
+  return p * std::bit_cast<float>(e);
+}
+
+/// The tanh-approximation GELU used across the inference path,
+/// 0.5·x·(1 + tanh u) with u = √(2/π)·(x + 0.044715·x³), evaluated as
+/// the identical x / (1 + e^(−2u)) through exp_approx. Shared so the
+/// fused epilogue, the unfused f32 path and the surrogate scorer are
+/// bitwise identical. Training keeps the libm form (tensor::gelu).
 [[nodiscard]] inline float gelu_approx(float x) {
-  constexpr float kC = 0.7978845608028654f;
-  return 0.5f * x * (1.0f + std::tanh(kC * (x + 0.044715f * x * x * x)));
+  constexpr float kA = -2.0f * 0.7978845608028654f;             // -2·√(2/π)
+  constexpr float kB = -2.0f * 0.7978845608028654f * 0.044715f;  // ·0.044715
+  return x / (1.0f + exp_approx(x * (kA + kB * (x * x))));
 }
 
 }  // namespace eva::tensor

@@ -82,6 +82,34 @@ TEST(BatchedInference, RowsIndependentOfCohort) {
   }
 }
 
+TEST(BatchedInference, RowsIndependentOfCohortRaggedWidths) {
+  // The f32 decode applies GELU in one vectorized loop over all n rows
+  // of the MLP activation, so with d_ff not a multiple of the vector
+  // width a row's last lanes fall in the vector body in one cohort and
+  // in the remainder in another (d_ff = 101 also reaches the scalar
+  // tail). Head width 20 puts attention's reductions in their tails
+  // too. The row must still come out bitwise the same.
+  for (const int d_ff : {100, 101}) {
+    Rng rng(54);
+    TransformerLM model(ModelConfig{24, 40, 1, 2, d_ff, 64, 0.0f}, rng);
+    const std::vector<int> seq{2, 9, 4, 15, 7};
+    auto solo_cache = model.make_batched_cache(1);
+    auto pair_cache = model.make_batched_cache(2);
+    auto trio_cache = model.make_batched_cache(3);
+    std::vector<float> solo, pair, trio;
+    for (std::size_t t = 0; t < seq.size(); ++t) {
+      model.infer_step_batched(solo_cache, {0}, {seq[t]}, solo);
+      model.infer_step_batched(pair_cache, {1, 0}, {11, seq[t]}, pair);
+      model.infer_step_batched(trio_cache, {0, 1, 2}, {seq[t], 3, 17}, trio);
+      const std::size_t V = solo.size();
+      for (std::size_t v = 0; v < V; ++v) {
+        EXPECT_EQ(solo[v], pair[V + v]) << "d_ff=" << d_ff << " t=" << t;
+        EXPECT_EQ(solo[v], trio[v]) << "d_ff=" << d_ff << " t=" << t;
+      }
+    }
+  }
+}
+
 TEST(BatchedInference, SlotRecycleStartsClean) {
   Rng rng(52);
   TransformerLM model(ModelConfig::tiny(24), rng);

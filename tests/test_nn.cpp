@@ -2,6 +2,7 @@
 // step must agree with the training path), sampler, LM pretraining.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -175,6 +176,35 @@ TEST(Transformer, KvCacheMatchesTrainingPath) {
       EXPECT_EQ(cache.len[i], static_cast<int>(seqs[i].size()));
     }
   }
+}
+
+TEST(Transformer, KvCacheMatchesTrainingPathPastMaxSeq256) {
+  // max_seq = 300 and a step decoded at every position up to it: the
+  // attention score workspace must be sized from the config, and every
+  // position must still match forward() on its prefix. Head width 20
+  // and d_ff = 100 leave remainders after the vector lanes.
+  const ModelConfig cfg{24, 40, 2, 2, 100, 300, 0.0f};
+  Rng rng(9);
+  TransformerLM model(cfg, rng);
+  std::vector<int> seq(static_cast<std::size_t>(cfg.max_seq));
+  for (auto& t : seq) t = 3 + static_cast<int>(rng.index(20));
+  const auto ref = model.forward(seq, 1, cfg.max_seq, false);
+  const auto want = ref.data();
+  auto cache = model.make_batched_cache(1);
+  const auto V = static_cast<std::size_t>(cfg.vocab);
+  std::vector<float> logits;
+  double worst = 0.0;
+  for (std::size_t p = 0; p < seq.size(); ++p) {
+    model.infer_step_batched(cache, {0}, {seq[p]}, logits);
+    for (std::size_t v = 0; v < V; ++v) {
+      worst = std::max(worst, static_cast<double>(std::fabs(
+                                  logits[v] - want[p * V + v])));
+    }
+  }
+  EXPECT_LE(worst, 1e-4);
+  EXPECT_EQ(cache.len[0], cfg.max_seq);
+  EXPECT_THROW(model.infer_step_batched(cache, {0}, {seq[0]}, logits),
+               std::exception);
 }
 
 TEST(Transformer, LoadFromCopiesWeights) {

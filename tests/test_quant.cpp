@@ -291,6 +291,67 @@ TEST(QuantKernels, NanActivationInScalarTailIsDefinedAndFinite) {
   }
 }
 
+// --- libm-free inference math (exp_approx, gelu_approx) ---------------------
+
+TEST(ApproxMath, ExpApproxWithinRelativeBoundOfStdExp) {
+  // Dense sweep of the unclamped range in 1e-4 steps. Stated bound:
+  // relative error <= 2e-7 (about 1.7 ulp; measured ~8.4e-8).
+  double worst = 0.0;
+  float worst_x = 0.0f;
+  for (int i = 0; i <= 1750000; ++i) {
+    const float x = static_cast<float>(-87.0 + 1e-4 * i);
+    const double want = std::exp(static_cast<double>(x));
+    const double rel = std::fabs(exp_approx(x) - want) / want;
+    if (rel > worst) {
+      worst = rel;
+      worst_x = x;
+    }
+  }
+  EXPECT_LE(worst, 2e-7) << "at x=" << worst_x;
+  EXPECT_EQ(exp_approx(0.0f), 1.0f);
+}
+
+TEST(ApproxMath, ExpApproxSaturatesOutsideRangeAndPropagatesNan) {
+  const float hi = exp_approx(88.3762626647949f);
+  const float lo = exp_approx(-87.3365447505531f);
+  EXPECT_TRUE(std::isfinite(hi));
+  EXPECT_GT(hi, 2e38f);
+  EXPECT_GT(lo, 0.0f);
+  EXPECT_LE(lo, std::numeric_limits<float>::min() * 1.0001f);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const float x : {88.5f, 89.0f, 100.0f, 1e30f, kInf}) {
+    EXPECT_EQ(exp_approx(x), hi) << "x=" << x;
+  }
+  for (const float x : {-87.5f, -88.0f, -100.0f, -1e30f, -kInf}) {
+    EXPECT_EQ(exp_approx(x), lo) << "x=" << x;
+  }
+  EXPECT_TRUE(std::isnan(exp_approx(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(gelu_approx(std::numeric_limits<float>::quiet_NaN())));
+}
+
+TEST(ApproxMath, GeluApproxMatchesTanhFormWithinBound) {
+  // gelu_approx evaluates 0.5x(1 + tanh u) as x / (1 + e^(-2u)). Stated
+  // bound against the tanh form in double on [-10, 10]:
+  // |diff| <= 3e-7 * max(1, |x|) (measured ~1.2e-7).
+  constexpr double kC = 0.7978845608028654;
+  double worst = 0.0;
+  float worst_x = 0.0f;
+  for (int i = 0; i <= 2000000; ++i) {
+    const float x = static_cast<float>(-10.0 + 1e-5 * i);
+    const double xd = x;
+    const double want =
+        0.5 * xd * (1.0 + std::tanh(kC * (xd + 0.044715 * xd * xd * xd)));
+    const double err =
+        std::fabs(gelu_approx(x) - want) / std::max(1.0, std::fabs(xd));
+    if (err > worst) {
+      worst = err;
+      worst_x = x;
+    }
+  }
+  EXPECT_LE(worst, 3e-7) << "at x=" << worst_x;
+  EXPECT_EQ(gelu_approx(0.0f), 0.0f);
+}
+
 TEST(Quant, Int8NanElementPoisonsColumnToZeroScale) {
   // The documented contract: a column holding any non-finite weight
   // quantizes to scale 0 + all-zero codes. NaN is the tricky case — a
